@@ -28,8 +28,8 @@ from repro.phy.modulation import LoRaParams, SpreadingFactor
 def sample_packets():
     routes10 = tuple(RoutingEntry(address=i + 2, metric=i % 5) for i in range(10))
     return [
-        ("HELLO (empty table)", RoutingPacket(src=1, entries=())),
-        ("HELLO (10 routes)", RoutingPacket(src=1, entries=routes10)),
+        ("HELLO (empty table)", RoutingPacket(src=1, rows=())),
+        ("HELLO (10 routes)", RoutingPacket(src=1, rows=routes10)),
         ("DATA (24 B payload)", DataPacket(dst=1, src=2, via=3, payload=bytes(24))),
         ("DATA (180 B payload)", DataPacket(dst=1, src=2, via=3, payload=bytes(180))),
         ("NEED_ACK (24 B)", NeedAckPacket(dst=1, src=2, via=3, seq_id=0, number=0, payload=bytes(24))),
@@ -78,7 +78,7 @@ def test_e3_hello_cost_vs_network_size(benchmark):
         rows = []
         for n_routes in (0, 5, 10, 20, 40, 62):
             entries = tuple(RoutingEntry(address=i + 2, metric=1) for i in range(n_routes))
-            frame = serialization.encode(RoutingPacket(src=1, entries=entries))
+            frame = serialization.encode(RoutingPacket(src=1, rows=entries))
             toa = time_on_air(len(frame), BENCH_CONFIG.lora)
             duty_share = toa / BENCH_CONFIG.hello_period_s
             rows.append((n_routes, len(frame), round(toa * 1000, 1), f"{duty_share * 100:.3f}%"))

@@ -226,7 +226,7 @@ def _hello_stream(n_sources=8, rows=62, generations=40):
             base = 0x0100 + src * rows
             bump = 1 if gen % 4 == 2 else 0
             entries = tuple(
-                RoutingEntry.trusted(base + i, 3 + bump + (i % 3), 0) for i in range(rows)
+                RoutingEntry.from_row((base + i, 3 + bump + (i % 3), 0)) for i in range(rows)
             )
             packets.append((2 + src, entries))
     return packets

@@ -9,10 +9,12 @@ Layout
 ------
 * :mod:`repro.net.addresses` — 16-bit node addresses derived from MACs,
 * :mod:`repro.net.packets` / :mod:`repro.net.serialization` — byte-exact
-  packet formats (routing, data, reliable-stream control),
+  packet formats (routing, data, reliable-stream control); hello rows
+  are plain ``(address, metric, role)`` int tuples,
 * :mod:`repro.net.routing_table` — the distance-vector routing table
-  (scalar reference) and the implementation factory,
+  (the scalar dict table, the default) and the implementation factory,
 * :mod:`repro.net.routing_store` — the columnar (numpy) routing store,
+  selected only by ``routing_impl="columnar"``,
 * :mod:`repro.net.queues` — fixed-capacity packet queues (FreeRTOS-style),
 * :mod:`repro.net.hello` — periodic routing-table dissemination,
 * :mod:`repro.net.forwarding` — the data plane (via-based hop forwarding),

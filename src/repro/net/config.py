@@ -42,11 +42,11 @@ class MesherConfig:
     #: first hop is at least this much stronger (hello SNR) replaces the
     #: incumbent.  None keeps the paper's pure hop-count behaviour.
     link_quality_tiebreak_db: "float | None" = None
-    #: Routing-table implementation: "auto" (columnar when numpy is
-    #: available, else scalar), "scalar" (the dict-of-entries reference)
-    #: or "columnar" (the vectorized numpy store; requires numpy).  The
-    #: two are observably equivalent — asserted by the equivalence
-    #: suite — and the REPRO_ROUTING_IMPL env var overrides this field.
+    #: Routing-table implementation: "auto" (the scalar table, faster end
+    #: to end), "scalar" (the dict-of-entries table) or "columnar" (the
+    #: vectorized numpy store; requires numpy).  The two are observably
+    #: equivalent — asserted by the equivalence suite — and the
+    #: REPRO_ROUTING_IMPL env var overrides this field.
     routing_impl: str = "auto"
 
     # --- medium access --------------------------------------------------

@@ -14,16 +14,10 @@ from __future__ import annotations
 
 import logging
 import random
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
-from repro.net import serialization
 from repro.net.config import MesherConfig
-from repro.net.packets import (
-    MAX_ROUTING_ENTRIES,
-    ROUTING_ENTRY_SIZE,
-    RoutingEntry,
-    RoutingPacket,
-)
+from repro.net.packets import MAX_ROUTING_ENTRIES, Row, RoutingPacket
 from repro.net.routing_table import RoutingTable
 from repro.sim.kernel import PeriodicTimer, Simulator
 from repro.trace.events import EventKind, TraceRecorder
@@ -115,60 +109,29 @@ class HelloService:
         version = self._table.version
         packets = self._packets_cache
         if packets is None or version != self._packets_version:
-            wire_rows = getattr(self._table, "advertised_wire_rows", None)
-            if wire_rows is not None:
-                # Columnar table: chunk its pre-encoded wire rows and
-                # prime the frame encoder, skipping the per-row struct
-                # packing entirely.
-                packets = self._build_packets_from_wire(
-                    *wire_rows(self_role=self._config.role)
-                )
-            else:
-                entries = self._table.snapshot(self_role=self._config.role)
-                packets = self.build_packets(entries)
+            packets = self.build_packets(self._table.snapshot(self_role=self._config.role))
             self._packets_cache = packets
             self._packets_version = version
         for packet in packets:
             if self._enqueue(packet):
                 self.hellos_sent += 1
-                self.hello_entries_sent += len(packet.entries)
+                self.hello_entries_sent += len(packet.rows)
                 if self._trace is not None:
                     self._trace.record(
                         self._sim.now,
                         self._address,
                         EventKind.HELLO_SENT,
-                        entries=len(packet.entries),
+                        entries=len(packet.rows),
                     )
 
-    def build_packets(self, entries: List[RoutingEntry]) -> List[RoutingPacket]:
-        """Split an entry list into maximally filled ROUTING packets."""
+    def build_packets(self, rows: Sequence[Row]) -> List[RoutingPacket]:
+        """Split advertised rows into maximally filled ROUTING packets."""
         packets = []
-        for start in range(0, len(entries), MAX_ROUTING_ENTRIES):
-            chunk = tuple(entries[start : start + MAX_ROUTING_ENTRIES])
-            packets.append(RoutingPacket(src=self._address, entries=chunk))
+        for start in range(0, len(rows), MAX_ROUTING_ENTRIES):
+            chunk = tuple(rows[start : start + MAX_ROUTING_ENTRIES])
+            packets.append(RoutingPacket(src=self._address, rows=chunk))
         if not packets:  # empty table still advertises the node itself
-            packets.append(RoutingPacket(src=self._address, entries=()))
-        return packets
-
-    def _build_packets_from_wire(self, addresses, metrics, roles, body: bytes) -> List[RoutingPacket]:
-        """Chunk pre-encoded advertised rows into ROUTING packets.
-
-        ``body`` is the concatenated wire encoding of every row (from
-        :meth:`ColumnarRoutingTable.advertised_wire_rows`); each chunk's
-        slice seeds the encode memo, so the later ``encode(packet)``
-        reduces to a header pack plus a byte join.  Byte-exactness with
-        the scalar build path is asserted by the hello tests.
-        """
-        packets = []
-        trusted = RoutingEntry.trusted
-        for start in range(0, len(addresses), MAX_ROUTING_ENTRIES):
-            end = start + MAX_ROUTING_ENTRIES
-            chunk = tuple(map(trusted, addresses[start:end], metrics[start:end], roles[start:end]))
-            packet = RoutingPacket(src=self._address, entries=chunk)
-            serialization.prime_encode(
-                packet, body[start * ROUTING_ENTRY_SIZE : end * ROUTING_ENTRY_SIZE]
-            )
-            packets.append(packet)
+            packets.append(RoutingPacket(src=self._address, rows=()))
         return packets
 
     def _jitter(self) -> float:

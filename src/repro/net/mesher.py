@@ -421,12 +421,12 @@ class MesherNode:
                     self.address,
                     EventKind.HELLO_RECEIVED,
                     src=packet.src,
-                    entries=len(packet.entries),
+                    entries=len(packet.rows),
                 )
             else:
                 trace.record(self.sim.now, self.address, EventKind.HELLO_RECEIVED)
         self.table.process_hello(
-            packet.src, packet.entries, self.sim.now, snr_db=frame.snr_db
+            packet.src, packet.rows, self.sim.now, snr_db=frame.snr_db
         )
 
     def _handle_via_packet(self, packet, *, previous_hop: int = -1) -> None:

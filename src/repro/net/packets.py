@@ -23,18 +23,11 @@ Byte-exact encode/decode lives in :mod:`repro.net.serialization`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Union
+import functools
+from dataclasses import dataclass
+from typing import NamedTuple, Tuple, Union
 
 from repro.net.addresses import BROADCAST_ADDRESS
-
-try:  # numpy is a declared dependency, but degrade gracefully without it
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
 
 #: Fixed header size on the wire.
 HEADER_SIZE = 6
@@ -74,214 +67,70 @@ class NodeRole(enum.IntFlag):
     GATEWAY = 1
 
 
-#: Interned trusted RoutingEntry rows.  The cap bounds pathological key
-#: churn (hostile metrics sweeping the u8 space); real meshes use a few
-#: thousand (address, metric, role) combinations.
-_TRUSTED_INTERN: dict = {}
-_TRUSTED_INTERN_MAX = 1 << 18
+#: One advertised routing row, ``(address, metric, role)``, as the
+#: routing tables, the hello service and the codec pass it around.
+Row = Tuple[int, int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class RoutingEntry:
-    """One row of a ROUTING packet: a destination the sender can reach.
-
-    Instances built via :meth:`trusted` are interned and therefore
-    shared; they are frozen, so sharing is unobservable except through
-    ``id()``."""
-
+class _RoutingFields(NamedTuple):
     address: int
     metric: int
     role: int = int(NodeRole.DEFAULT)
 
-    def __post_init__(self) -> None:
-        if not 0 < self.address <= 0xFFFF:
-            raise ValueError(f"bad routing-entry address {self.address:#x}")
-        if not 0 <= self.metric <= 0xFF:
-            raise ValueError(f"metric {self.metric} does not fit u8")
-        if not 0 <= self.role <= 0xFF:
-            raise ValueError(f"role {self.role} does not fit u8")
+
+class RoutingEntry(_RoutingFields):
+    """One row of a ROUTING packet: a destination the sender can reach.
+
+    A validated :data:`Row` with field names: it compares equal to, and
+    unpacks like, the plain int rows the hot path passes around.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, address: int, metric: int, role: int = int(NodeRole.DEFAULT)) -> "RoutingEntry":
+        if not 0 < address <= 0xFFFF:
+            raise ValueError(f"bad routing-entry address {address:#x}")
+        if not 0 <= metric <= 0xFF:
+            raise ValueError(f"metric {metric} does not fit u8")
+        if not 0 <= role <= 0xFF:
+            raise ValueError(f"role {role} does not fit u8")
+        return tuple.__new__(cls, (address, metric, role))
 
     @classmethod
-    def trusted(cls, address: int, metric: int, role: int) -> "RoutingEntry":
-        """Construct without re-running ``__post_init__`` validation.
-
-        For fields that are already range-guaranteed — unpacked from the
-        u16/u8/u8 wire structs or copied from an existing validated entry.
-        Hello fan-out decodes tens of entries per received frame, making
-        this the hottest allocation in a converging mesh — and the value
-        space is tiny (addresses x metrics x roles actually in use), so
-        entries are interned: frozen rows are shared instead of allocated.
-        """
-        key = (cls, address, metric, role)
-        self = _TRUSTED_INTERN.get(key)
-        if self is None:
-            self = object.__new__(cls)
-            object.__setattr__(self, "address", address)
-            object.__setattr__(self, "metric", metric)
-            object.__setattr__(self, "role", role)
-            if len(_TRUSTED_INTERN) >= _TRUSTED_INTERN_MAX:
-                _TRUSTED_INTERN.clear()
-            _TRUSTED_INTERN[key] = self
-        return self
-
-
-#: Id-keyed memo of the plain-int view of a ROUTING payload: the
-#: ``(address, metric, role)`` rows plus a first-occurrence
-#: address -> role map.  Frozen entries tuples are shared across all
-#: receivers of a frame (decode memo) and across beacons while the
-#: sender's table is stable (hello build cache), so the per-field
-#: extraction happens once per distinct packet instead of once per
-#: delivery.  Each value pins the entries tuple so its id cannot be
-#: recycled while the memo entry lives.  The serializer pre-seeds the
-#: memo at decode time, where the int rows exist before the entry
-#: objects do.
-_ROWS_CACHE: dict = {}
-_ROWS_CACHE_MAX = 65_536
-
-
-def _rows_value(rows: tuple) -> tuple:
-    role_of: dict = {}
-    setdefault = role_of.setdefault
-    for address, _metric, role in rows:
-        setdefault(address, role)
-    return (rows, role_of)
-
-
-def prime_rows(entries: tuple, rows: tuple) -> None:
-    """Seed :func:`rows_of` for a freshly built entries tuple whose int
-    rows the caller already holds (the decoder unpacks them from the
-    wire before constructing the entry objects)."""
-    if len(_ROWS_CACHE) >= _ROWS_CACHE_MAX:
-        _ROWS_CACHE.clear()
-    _ROWS_CACHE[id(entries)] = (entries, _rows_value(rows))
-
-
-def rows_of(entries) -> tuple:
-    """``((address, metric, role) rows, first-occurrence address->role)``
-    for a RoutingEntry sequence.
-
-    The role map answers "which role did this packet advertise for its
-    sender" without rescanning the rows for every receiver — most beacon
-    chunks of a large table do not contain the sender's own row at all.
-    Only tuples (immutable packet payloads) are memoized; lists stay
-    uncached because callers may mutate them between merges.
-    """
-    if type(entries) is tuple:
-        hit = _ROWS_CACHE.get(id(entries))
-        if hit is not None and hit[0] is entries:
-            return hit[1]
-        value = _rows_value(tuple((e.address, e.metric, e.role) for e in entries))
-        if len(_ROWS_CACHE) >= _ROWS_CACHE_MAX:
-            _ROWS_CACHE.clear()
-        _ROWS_CACHE[id(entries)] = (entries, value)
-        return value
-    return _rows_value(tuple((e.address, e.metric, e.role) for e in entries))
-
-
-#: Id-keyed memo of the *columnar* view of a ROUTING payload (see
-#: :class:`PacketColumns`).  Same lifetime rules as ``_ROWS_CACHE``:
-#: each value pins the entries tuple so its id stays valid.
-_COLUMNS_CACHE: dict = {}
-_COLUMNS_CACHE_MAX = 65_536
-
-
-class PacketColumns:
-    """Column view of a ROUTING payload for the vectorized DV merge.
-
-    ``addr``/``cand``/``role`` are aligned int64 arrays over the packet
-    rows, with ``cand`` already the candidate metric (advertised + 1).
-    ``filtered(max_metric)`` applies the broadcast-address and metric-cap
-    masks once per (packet, max_metric) pair — every receiver with the
-    same cap shares the result.  Row order is preserved so notification
-    order matches the scalar per-row loop.
-    """
-
-    __slots__ = ("addr", "cand", "role", "role_of", "has_dups", "_filtered")
-
-    def __init__(self, addr, cand, role, role_of: dict, has_dups: bool) -> None:
-        self.addr = addr
-        self.cand = cand
-        self.role = role
-        self.role_of = role_of
-        self.has_dups = has_dups
-        self._filtered: dict = {}
-
-    @classmethod
-    def from_rows(cls, rows: tuple, role_of: dict) -> "PacketColumns":
-        n = len(rows)
-        mat = _np.array(rows, dtype=_np.int64).reshape(n, 3)
-        addr = _np.ascontiguousarray(mat[:, 0])
-        cand = mat[:, 1] + 1
-        role = _np.ascontiguousarray(mat[:, 2])
-        return cls(addr, cand, role, role_of, len({r[0] for r in rows}) != n)
-
-    def filtered(self, max_metric: int, src: int) -> tuple:
-        """``(addr, cand, role, max_addr, nsrc)`` with rows beyond
-        ``max_metric`` or addressed to broadcast masked out, plus the
-        ``addr != src`` mask; memoized per (cap, sender).  A broadcast
-        hello is decoded once and merged by every receiver with the same
-        cap and sender, so the masks are computed once per transmission."""
-        key = (max_metric, src)
-        hit = self._filtered.get(key)
-        if hit is None:
-            keep = (self.cand <= max_metric) & (self.addr != BROADCAST_ADDRESS)
-            if keep.all():
-                addr, cand, role = self.addr, self.cand, self.role
-            else:
-                addr = self.addr[keep]
-                cand = self.cand[keep]
-                role = self.role[keep]
-            max_addr = int(addr.max()) if addr.shape[0] else 0
-            hit = (addr, cand, role, max_addr, addr != src)
-            self._filtered[key] = hit
-        return hit
-
-
-def prime_columns(entries: tuple, columns: "PacketColumns") -> None:
-    """Seed :func:`columns_of` for a freshly decoded entries tuple whose
-    column arrays the caller already holds (the vectorized decoder)."""
-    if len(_COLUMNS_CACHE) >= _COLUMNS_CACHE_MAX:
-        _COLUMNS_CACHE.clear()
-    _COLUMNS_CACHE[id(entries)] = (entries, columns)
-
-
-def columns_of(entries) -> "PacketColumns":
-    """The memoized :class:`PacketColumns` view of an entries sequence.
-
-    Requires numpy; callers (the columnar routing store) are themselves
-    numpy-gated.  Only tuples are memoized, mirroring :func:`rows_of`.
-    """
-    if type(entries) is tuple:
-        hit = _COLUMNS_CACHE.get(id(entries))
-        if hit is not None and hit[0] is entries:
-            return hit[1]
-        rows, role_of = rows_of(entries)
-        columns = PacketColumns.from_rows(rows, role_of)
-        if len(_COLUMNS_CACHE) >= _COLUMNS_CACHE_MAX:
-            _COLUMNS_CACHE.clear()
-        _COLUMNS_CACHE[id(entries)] = (entries, columns)
-        return columns
-    rows, role_of = rows_of(entries)
-    return PacketColumns.from_rows(rows, role_of)
+    def from_row(cls, row) -> "RoutingEntry":
+        """Name the fields of a row whose values are already in range
+        (unpacked from the u16/u8/u8 wire layout, or taken from a
+        routing table), without re-validating them."""
+        return tuple.__new__(cls, row)
 
 
 @dataclass(frozen=True)
 class RoutingPacket:
-    """Hello packet: broadcast of the sender's routing table."""
+    """Hello packet: broadcast of the sender's routing table.
+
+    ``rows`` holds ``(address, metric, role)`` int tuples (plain tuples
+    or :class:`RoutingEntry`, which compare equal); :attr:`entries` is the
+    same rows with field names, built on first access.
+    """
 
     src: int
-    entries: tuple  # tuple[RoutingEntry, ...]
+    rows: tuple  # tuple[Row, ...]
     dst: int = BROADCAST_ADDRESS
 
     type: "PacketType" = PacketType.ROUTING
 
     def __post_init__(self) -> None:
-        if len(self.entries) > MAX_ROUTING_ENTRIES:
+        if len(self.rows) > MAX_ROUTING_ENTRIES:
             raise ValueError(
-                f"{len(self.entries)} routing entries exceed the "
+                f"{len(self.rows)} routing entries exceed the "
                 f"per-packet maximum {MAX_ROUTING_ENTRIES}"
             )
-        object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "rows", tuple(self.rows))
+
+    @functools.cached_property
+    def entries(self) -> tuple:
+        """The rows as :class:`RoutingEntry` values."""
+        return tuple(map(RoutingEntry.from_row, self.rows))
 
 
 @dataclass(frozen=True)

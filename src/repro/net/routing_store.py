@@ -24,7 +24,7 @@ row into the freed slot, so the columns stay dense; ``_order`` lets
 scalar dict produced.
 
 Merging a received hello becomes one vectorized compare-and-update over
-the packet's column view (:class:`repro.net.packets.PacketColumns`):
+the packet's column view (:class:`PacketColumns`):
 candidate metric = advertised + 1; adopt where new, strictly better, or
 current-via == sender; the ``max_metric`` cap and broadcast-row masks
 are applied once per (packet, cap) pair.  Two cases fall back to a
@@ -53,7 +53,7 @@ import logging
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.net.addresses import BROADCAST_ADDRESS, format_address
-from repro.net.packets import NodeRole, RoutingEntry, columns_of, rows_of
+from repro.net.packets import Row, RoutingEntry
 from repro.net.routing_table import _DEFAULT_ROLE, _MERGE_MEMO_MAX, ChangeHook, RouteEntry
 
 try:  # pragma: no cover - import guard mirrors repro.phy.batch
@@ -71,8 +71,88 @@ _NAN = float("nan")
 
 if HAVE_NUMPY:
     _EMPTY_SLOTS = np.empty(0, dtype=np.int64)
-    #: Little-endian wire layout of one ROUTING row (see serialization).
-    WIRE_DTYPE = np.dtype([("address", "<u2"), ("metric", "u1"), ("role", "u1")])
+
+
+#: Id-keyed memo of the column view of a hello's rows tuple.  Rows
+#: tuples are shared by every receiver of a frame (decode memo) and
+#: across beacons while the sender's table is stable (hello build
+#: cache), so the columns are built once per distinct packet.  Each
+#: value pins the rows tuple so its id cannot be recycled while the
+#: memo entry lives.
+_COLUMNS_CACHE: dict = {}
+_COLUMNS_CACHE_MAX = 65_536
+
+
+class PacketColumns:
+    """Column view of a ROUTING payload for the vectorized DV merge.
+
+    ``addr``/``cand``/``role`` are aligned int64 arrays over the packet
+    rows, with ``cand`` already the candidate metric (advertised + 1);
+    ``role_of`` maps each address to the role of its first row.
+    ``filtered(max_metric)`` applies the broadcast-address and metric-cap
+    masks once per (packet, max_metric) pair — every receiver with the
+    same cap shares the result.  Row order is preserved so notification
+    order matches the scalar per-row loop.
+    """
+
+    __slots__ = ("addr", "cand", "role", "role_of", "has_dups", "_filtered")
+
+    def __init__(self, addr, cand, role, role_of: dict, has_dups: bool) -> None:
+        self.addr = addr
+        self.cand = cand
+        self.role = role
+        self.role_of = role_of
+        self.has_dups = has_dups
+        self._filtered: dict = {}
+
+    @classmethod
+    def from_rows(cls, rows) -> "PacketColumns":
+        n = len(rows)
+        mat = np.array(rows, dtype=np.int64).reshape(n, 3)
+        addr = np.ascontiguousarray(mat[:, 0])
+        cand = mat[:, 1] + 1
+        role = np.ascontiguousarray(mat[:, 2])
+        role_of: dict = {}
+        setdefault = role_of.setdefault
+        for address, _metric, row_role in rows:
+            setdefault(address, row_role)
+        return cls(addr, cand, role, role_of, len(role_of) != n)
+
+    def filtered(self, max_metric: int, src: int) -> tuple:
+        """``(addr, cand, role, max_addr, nsrc)`` with rows beyond
+        ``max_metric`` or addressed to broadcast masked out, plus the
+        ``addr != src`` mask; memoized per (cap, sender).  A broadcast
+        hello is decoded once and merged by every receiver with the same
+        cap and sender, so the masks are computed once per transmission."""
+        key = (max_metric, src)
+        hit = self._filtered.get(key)
+        if hit is None:
+            keep = (self.cand <= max_metric) & (self.addr != BROADCAST_ADDRESS)
+            if keep.all():
+                addr, cand, role = self.addr, self.cand, self.role
+            else:
+                addr = self.addr[keep]
+                cand = self.cand[keep]
+                role = self.role[keep]
+            max_addr = int(addr.max()) if addr.shape[0] else 0
+            hit = (addr, cand, role, max_addr, addr != src)
+            self._filtered[key] = hit
+        return hit
+
+
+def columns_of(rows) -> PacketColumns:
+    """The :class:`PacketColumns` view of a hello's rows, built on first
+    use and memoized for tuples (lists may be mutated between merges)."""
+    if type(rows) is not tuple:
+        return PacketColumns.from_rows(rows)
+    hit = _COLUMNS_CACHE.get(id(rows))
+    if hit is not None and hit[0] is rows:
+        return hit[1]
+    columns = PacketColumns.from_rows(rows)
+    if len(_COLUMNS_CACHE) >= _COLUMNS_CACHE_MAX:
+        _COLUMNS_CACHE.clear()
+    _COLUMNS_CACHE[id(rows)] = (rows, columns)
+    return columns
 
 
 def as_address_array(addresses):
@@ -138,11 +218,10 @@ class ColumnarRoutingTable:
         self._slots = np.full(slots_len, -1, dtype=np.int64)
         self._slots[self_address] = -2  # own address is never stored
         # Memos: sorted-slot order keyed on the address set revision,
-        # snapshot / advertised wire keyed on (version, self_role).
+        # snapshot keyed on (version, self_role).
         self._addr_revision: int = 0
         self._sorted_cache: Optional[tuple] = None
         self._snapshot_cache: Optional[tuple] = None
-        self._wire_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Storage plumbing
@@ -324,22 +403,22 @@ class ColumnarRoutingTable:
     def process_hello(
         self,
         src: int,
-        entries,
+        rows,
         now: float,
         *,
         snr_db: Optional[float] = None,
     ) -> int:
-        """Merge a neighbour's ROUTING packet. Returns routes changed."""
+        """Merge a neighbour's ROUTING rows. Returns routes changed."""
         if src == self.self_address or src == BROADCAST_ADDRESS:
             return 0
-        if not isinstance(entries, (tuple, list)):
-            entries = list(entries)
-        columns = columns_of(entries)
+        if not isinstance(rows, (tuple, list)):
+            rows = list(rows)
+        columns = columns_of(rows)
         self.heard_from(src, now, role=columns.role_of.get(src, _DEFAULT_ROLE), snr_db=snr_db)
         memo = self._merge_memo.get(src)
         if (
             memo is not None
-            and memo[0] is entries
+            and memo[0] is rows
             and memo[1] == self._version
             and memo[2] == self._snr_version
         ):
@@ -352,11 +431,11 @@ class ColumnarRoutingTable:
         if self.snr_tiebreak_db is not None or columns.has_dups:
             # Order-dependent inside a single packet; keep the exact
             # scalar row loop.
-            changed, refreshed = self._merge_rows_scalar(src, rows_of(entries)[0], now)
+            changed, refreshed = self._merge_rows_scalar(src, rows, now)
         else:
             addr, cand, role, max_addr, nsrc = columns.filtered(self.max_metric, src)
             if addr.shape[0] < self.VECTOR_MIN_ROWS:
-                changed, refreshed = self._merge_rows_scalar(src, rows_of(entries)[0], now)
+                changed, refreshed = self._merge_rows_scalar(src, rows, now)
             else:
                 changed, refreshed = self._merge_rows_vector(
                     src, addr, cand, role, nsrc, max_addr, now
@@ -366,7 +445,7 @@ class ColumnarRoutingTable:
             if src not in memo_table and len(memo_table) >= _MERGE_MEMO_MAX:
                 for key in list(memo_table)[: _MERGE_MEMO_MAX // 2]:
                     del memo_table[key]
-            memo_table[src] = (entries, self._version, self._snr_version, refreshed)
+            memo_table[src] = (rows, self._version, self._snr_version, refreshed)
         return changed
 
     #: Below this many changed rows a merge applies them with the scalar
@@ -759,52 +838,21 @@ class ColumnarRoutingTable:
     # ------------------------------------------------------------------
     # Advertising
     # ------------------------------------------------------------------
-    def snapshot(self, *, self_role: int = _DEFAULT_ROLE) -> List[RoutingEntry]:
-        """The advertised rows; memoized on (version, self_role)."""
+    def snapshot(self, *, self_role: int = _DEFAULT_ROLE) -> List[Row]:
+        """The advertised ``(address, metric, role)`` rows; memoized on
+        (version, self_role)."""
         cache = self._snapshot_cache
         if cache is not None and cache[0] == self._version and cache[1] == self_role:
             return list(cache[2])
-        rows = [RoutingEntry(address=self.self_address, metric=0, role=self_role)]
+        rows = [RoutingEntry(self.self_address, 0, self_role)]
         n = self._count
         order = self._sorted_slots()
         addr = self._addr[:n][order].tolist()
         metric = self._metric[:n][order].tolist()
         role = self._role[:n][order].tolist()
-        rows.extend(map(RoutingEntry.trusted, addr, metric, role))
+        rows.extend(zip(addr, metric, role))
         self._snapshot_cache = (self._version, self_role, tuple(rows))
         return rows
-
-    def advertised_wire_rows(self, *, self_role: int = _DEFAULT_ROLE) -> tuple:
-        """``(addresses, metrics, roles, body)`` of the advertised rows.
-
-        ``body`` is the byte-exact concatenated wire encoding of every
-        row (the ROUTING payload layout), which the hello service slices
-        per chunk to pre-seed the frame encoder.  Memoized on
-        (version, self_role) like :meth:`snapshot`.
-        """
-        cache = self._wire_cache
-        if cache is not None and cache[0] == self._version and cache[1] == self_role:
-            return cache[2]
-        # Validate the self row exactly like snapshot()'s constructor
-        # does (it guards self_role fitting u8 on the wire).
-        self_row = RoutingEntry(address=self.self_address, metric=0, role=self_role)
-        n = self._count
-        order = self._sorted_slots()
-        wire = np.empty(n + 1, dtype=WIRE_DTYPE)
-        wire["address"][0] = self_row.address
-        wire["metric"][0] = self_row.metric
-        wire["role"][0] = self_row.role
-        wire["address"][1:] = self._addr[:n][order]
-        wire["metric"][1:] = self._metric[:n][order]
-        wire["role"][1:] = self._role[:n][order]
-        value = (
-            wire["address"].tolist(),
-            wire["metric"].tolist(),
-            wire["role"].tolist(),
-            wire.tobytes(),
-        )
-        self._wire_cache = (self._version, self_role, value)
-        return value
 
     def format(self) -> str:
         """Multi-line rendering like the demo's serial-console dump."""

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.net.addresses import BROADCAST_ADDRESS, format_address
-from repro.net.packets import NodeRole, RoutingEntry, rows_of
+from repro.net.packets import NodeRole, Row, RoutingEntry
 
 #: Plain-int default role, hoisted out of the per-hello hot path.
 _DEFAULT_ROLE = int(NodeRole.DEFAULT)
@@ -33,7 +33,7 @@ _DEFAULT_ROLE = int(NodeRole.DEFAULT)
 #: Merge-memo entries kept before half of the (insertion-oldest) keys
 #: are evicted.  Keys are neighbour addresses, so a static deployment
 #: never reaches the cap; mobile scenarios meet a stream of transient
-#: neighbours whose memos (each pinning an entries tuple) would
+#: neighbours whose memos (each pinning a rows tuple) would
 #: otherwise accumulate forever.
 _MERGE_MEMO_MAX = 64
 
@@ -50,9 +50,6 @@ class RouteEntry:
     role: int  # advertised role bits of the destination
     updated_at: float  # last refresh time
     received_snr_db: Optional[float] = None  # link SNR of the teaching hello
-    # Memoized wire row (address, metric, role) for snapshot(); rebuilt
-    # lazily whenever metric/role drift from the cached copy.
-    advertised: Optional[RoutingEntry] = field(default=None, compare=False, repr=False)
 
     @property
     def is_neighbour(self) -> bool:
@@ -96,6 +93,11 @@ class RoutingTable:
         self.snr_tiebreak_db = snr_tiebreak_db
         self._on_change = on_change
         self._routes: Dict[int, RouteEntry] = {}
+        #: The advertised ``(address, metric, role)`` row of every route,
+        #: rebuilt only when that route changes (every such change goes
+        #: through _notify or bumps _version in heard_from), so a
+        #: snapshot reuses the row tuples of unchanged routes.
+        self._rows: Dict[int, Row] = {}
         #: Monotonic counter bumped whenever the advertised view of the
         #: table — the (address, metric, role) rows — may have changed.
         #: Consumers (the hello service) use it to reuse built ROUTING
@@ -106,19 +108,13 @@ class RoutingTable:
         #: refreshes keep it stable).  Together with ``_version`` it
         #: covers every input the merge rules read.
         self._snr_version: int = 0
-        #: Per-neighbour memo of a no-op hello merge: (entries object,
+        #: Per-neighbour memo of a no-op hello merge: (rows object,
         #: table version, snr version, entries refreshed in place).  A
         #: stable network re-broadcasts the *same* ROUTING packet objects
         #: (hello/build cache + decode memo), so once a merge produced no
         #: route change, replaying it against an unchanged table reduces
         #: to the timestamp refreshes the original merge performed.
         self._merge_memo: Dict[int, tuple] = {}
-        #: Memoized snapshot() rows, keyed on (version, self_role):
-        #: stable-network beacons re-advertise an unchanged table every
-        #: hello period, and rebuilding + re-sorting the row list each
-        #: time was pure waste.  Timestamp-only refreshes keep the
-        #: version (and therefore the memo) valid.
-        self._snapshot_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Learning
@@ -139,6 +135,7 @@ class RoutingTable:
             # packet lands here, so avoid allocating a fresh entry).
             if role and role != current.role:
                 current.role = role
+                self._rows[neighbour] = (neighbour, 1, role)
                 self._version += 1
             current.updated_at = now
             if current.received_snr_db != snr_db:
@@ -161,36 +158,36 @@ class RoutingTable:
     def process_hello(
         self,
         src: int,
-        entries: Iterable[RoutingEntry],
+        rows: Iterable[Row],
         now: float,
         *,
         snr_db: Optional[float] = None,
     ) -> int:
-        """Merge a neighbour's ROUTING packet. Returns routes changed."""
+        """Merge a neighbour's ROUTING rows. Returns routes changed."""
         if src in (self.self_address, BROADCAST_ADDRESS):
             # A radio never demodulates its own frames, but a spoofed or
             # looped hello must not install routes via ourselves.
             return 0
-        if not isinstance(entries, (tuple, list)):
-            entries = list(entries)
-        # Plain-int rows: the merge loop below visits every entry of
-        # every received beacon, and tuple unpacking beats per-field
-        # dataclass attribute loads ~3x.  Packets are shared objects
-        # (decode memo), so the rows tuple is computed once per packet,
-        # not once per receiving node.
-        rows, role_of = rows_of(entries)
+        if not isinstance(rows, (tuple, list)):
+            rows = list(rows)
         # The sender's self-advertisement carries its role bits (and
-        # nothing else of value — reception is the direct route).
-        self.heard_from(src, now, role=role_of.get(src, _DEFAULT_ROLE), snr_db=snr_db)
+        # nothing else of value — reception is the direct route).  It is
+        # the first row of the first chunk, so the scan is short there.
+        role = _DEFAULT_ROLE
+        for row in rows:
+            if row[0] == src:
+                role = row[2]
+                break
+        self.heard_from(src, now, role=role, snr_db=snr_db)
         memo = self._merge_memo.get(src)
         if (
             memo is not None
-            and memo[0] is entries
+            and memo[0] is rows
             and memo[1] == self._version
             and memo[2] == self._snr_version
         ):
-            # The *same* packet object merged against an unchanged table:
-            # the merge rules are a pure function of (entries, rows,
+            # The *same* packet rows merged against an unchanged table:
+            # the merge rules are a pure function of (rows, table,
             # SNR state), so this replay decides exactly what the
             # recorded pass decided — no route changes, just timestamp
             # refreshes on the entries it refreshed then.  A converged
@@ -250,7 +247,7 @@ class RoutingTable:
                 self._notify("updated", entry)
                 changed += 1
         if changed == 0:
-            # Pin the entries tuple so its id cannot be recycled while
+            # Pin the rows tuple so its id cannot be recycled while
             # the memo lives; any later table/SNR change ages it out via
             # the version checks.
             memo_table = self._merge_memo
@@ -261,7 +258,7 @@ class RoutingTable:
                 for key in list(memo_table)[: _MERGE_MEMO_MAX // 2]:
                     del memo_table[key]
             memo_table[src] = (
-                entries,
+                rows,
                 self._version,
                 self._snr_version,
                 tuple(refreshed),
@@ -360,7 +357,7 @@ class RoutingTable:
             # The memo is keyed by teaching neighbour: once the direct
             # route to a neighbour expires, its recorded no-op merge can
             # never validate again (the expiry bumped the version), so
-            # keeping it would only pin the dead packet's entries tuple.
+            # keeping it would only pin the dead packet's rows tuple.
             self._merge_memo.pop(entry.address, None)
             self._notify("removed", entry)
         return expired
@@ -386,7 +383,9 @@ class RoutingTable:
         return entry.via if entry is not None else None
 
     def get(self, destination: int) -> Optional[RouteEntry]:
-        """The full entry for ``destination``, or None."""
+        """The full entry for ``destination``, or None.  It is the
+        table's own object: change routes through the table's methods
+        (``set_route``), or hellos will not advertise the change."""
         return self._routes.get(destination)
 
     def has_route(self, destination: int) -> bool:
@@ -397,6 +396,11 @@ class RoutingTable:
         """Hop count towards ``destination``, or None."""
         entry = self._routes.get(destination)
         return entry.metric if entry is not None else None
+
+    def covers_all(self, addresses: Iterable[int]) -> bool:
+        """Whether every address is routable (the own address counts as
+        covered): one set difference against the table's keys."""
+        return not set(addresses).difference(self._routes, (self.self_address,))
 
     @property
     def size(self) -> int:
@@ -428,32 +432,19 @@ class RoutingTable:
     # ------------------------------------------------------------------
     # Advertising
     # ------------------------------------------------------------------
-    def snapshot(self, *, self_role: int = int(NodeRole.DEFAULT)) -> List[RoutingEntry]:
-        """The entries this node advertises in its ROUTING packets.
+    def snapshot(self, *, self_role: int = int(NodeRole.DEFAULT)) -> List[Row]:
+        """The ``(address, metric, role)`` rows this node advertises in
+        its ROUTING packets, sorted by address after the self row.
 
         The node's own address is advertised at metric 0 so receivers
         compute metric 1 for the direct route — matching the firmware,
         where the hello's source is itself the metric-0 row.
         """
-        cache = self._snapshot_cache
-        if cache is not None and cache[0] == self._version and cache[1] == self_role:
-            return list(cache[2])
-        rows = [RoutingEntry(address=self.self_address, metric=0, role=self_role)]
-        # Table rows were validated on the way in; skip re-validation.
-        # Each row's wire entry is memoized on the RouteEntry and reused
-        # until its metric/role drift — across beacons, most rows are
-        # stable while the table as a whole still churns somewhere.
-        routes = self._routes
-        trusted = RoutingEntry.trusted
-        append = rows.append
-        for address in sorted(routes):
-            e = routes[address]
-            adv = e.advertised
-            if adv is None or adv.metric != e.metric or adv.role != e.role:
-                adv = trusted(e.address, e.metric, e.role)
-                e.advertised = adv
-            append(adv)
-        self._snapshot_cache = (self._version, self_role, tuple(rows))
+        # The self row is validated (self_role must fit the u8 field);
+        # table rows were validated on the way in.
+        rows: List[Row] = [RoutingEntry(self.self_address, 0, self_role)]
+        advertised = self._rows
+        rows.extend(map(advertised.__getitem__, sorted(advertised)))
         return rows
 
     def format(self) -> str:
@@ -467,6 +458,10 @@ class RoutingTable:
         return "\n".join(lines)
 
     def _notify(self, kind: str, entry: RouteEntry) -> None:
+        if kind == "removed":
+            del self._rows[entry.address]
+        else:
+            self._rows[entry.address] = (entry.address, entry.metric, entry.role)
         self._version += 1
         if self._on_change is not None:
             self._on_change(kind, entry)
@@ -491,30 +486,30 @@ def make_routing_table(
     """Build the configured routing-table implementation.
 
     ``impl`` (usually ``MesherConfig.routing_impl``) picks between the
-    scalar dict-of-entries reference and the columnar numpy store; the
+    scalar dict-of-entries table and the columnar numpy store; the
     ``REPRO_ROUTING_IMPL`` environment variable overrides it globally,
     which is how the A/B equivalence and benchmark runs flip a whole
     mesh between implementations without touching configs.
 
-    ``auto`` resolves to columnar when numpy is available, else scalar.
-    Forcing ``columnar`` without numpy raises.
+    ``auto`` resolves to the scalar table, which is faster end to end
+    (see docs/performance.md, "Routing rows").  ``columnar`` without
+    numpy raises.
     """
     choice = os.environ.get("REPRO_ROUTING_IMPL") or impl
     if choice not in ROUTING_IMPLS:
         raise ValueError(f"routing impl must be one of {ROUTING_IMPLS}, got {choice!r}")
-    if choice != "scalar":
+    if choice == "columnar":
         from repro.net import routing_store
 
-        if routing_store.HAVE_NUMPY:
-            return routing_store.ColumnarRoutingTable(
-                self_address,
-                route_timeout=route_timeout,
-                max_metric=max_metric,
-                snr_tiebreak_db=snr_tiebreak_db,
-                on_change=on_change,
-            )
-        if choice == "columnar":
+        if not routing_store.HAVE_NUMPY:
             raise RuntimeError("routing_impl='columnar' requires numpy")
+        return routing_store.ColumnarRoutingTable(
+            self_address,
+            route_timeout=route_timeout,
+            max_metric=max_metric,
+            snr_tiebreak_db=snr_tiebreak_db,
+            on_change=on_change,
+        )
     return RoutingTable(
         self_address,
         route_timeout=route_timeout,

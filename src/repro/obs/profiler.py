@@ -22,12 +22,16 @@ from typing import Callable, Dict, List, Optional
 from repro.experiments.report import format_table
 from repro.sim.kernel import Simulator
 
-_DIGITS = re.compile(r"\d+")
+#: Run-specific label tokens: ``0x`` hex literals (``hello 0x000f``),
+#: node addresses as :func:`repro.net.addresses.format_address` renders
+#: them (four upper-case hex digits: ``000F pump``), and decimal runs.
+_RUN_SPECIFIC = re.compile(r"0[xX][0-9a-fA-F]+|\b[0-9A-F]{4}\b|\d+")
 
 
 def normalize_label(label: str) -> str:
-    """Collapse run-specific digits so per-node labels share one bin."""
-    return _DIGITS.sub("N", label)
+    """Collapse run-specific numbers and addresses so per-node labels
+    share one bin."""
+    return _RUN_SPECIFIC.sub("N", label)
 
 
 def callback_name(callback: Callable[[], None]) -> str:

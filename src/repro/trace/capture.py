@@ -150,7 +150,7 @@ def _describe(payload: bytes) -> tuple[str, str]:
     dst = format_address(packet.dst)
     src = format_address(packet.src)
     if kind == "RoutingPacket":
-        return kind, f"{src} advertises {len(packet.entries)} entries"
+        return kind, f"{src} advertises {len(packet.rows)} entries"
     via = format_address(packet.via)
     detail = f"{src}->{dst} via {via}"
     seq = getattr(packet, "seq_id", None)

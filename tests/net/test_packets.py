@@ -41,18 +41,21 @@ class TestRoutingEntry:
 
 class TestRoutingPacket:
     def test_defaults_to_broadcast(self):
-        p = RoutingPacket(src=1, entries=())
+        p = RoutingPacket(src=1, rows=())
         assert p.dst == BROADCAST_ADDRESS
         assert p.type is PacketType.ROUTING
 
     def test_entry_limit_enforced(self):
         entries = tuple(RoutingEntry(address=i + 1, metric=1) for i in range(MAX_ROUTING_ENTRIES + 1))
         with pytest.raises(ValueError):
-            RoutingPacket(src=1, entries=entries)
+            RoutingPacket(src=1, rows=entries)
 
     def test_entries_coerced_to_tuple(self):
-        p = RoutingPacket(src=1, entries=[RoutingEntry(address=2, metric=1)])
+        p = RoutingPacket(src=1, rows=[(2, 1, 0)])
+        assert isinstance(p.rows, tuple)
         assert isinstance(p.entries, tuple)
+        assert p.entries[0] == RoutingEntry(address=2, metric=1)
+        assert p.entries[0].address == 2
 
 
 class TestDataPacket:
@@ -63,7 +66,7 @@ class TestDataPacket:
 
     def test_has_via(self):
         assert has_via(DataPacket(dst=1, src=2, via=1, payload=b""))
-        assert not has_via(RoutingPacket(src=1, entries=()))
+        assert not has_via(RoutingPacket(src=1, rows=()))
 
 
 class TestControlPackets:

@@ -5,7 +5,7 @@ covered by ``tests/properties/test_routing_equivalence.py`` and by
 ``tests/net/test_routing_table.py`` running its whole suite against both
 implementations.  This module tests what is *unique* to the columnar
 store: the implementation factory, the dense-slot storage mechanics,
-the wire-row fast path, and the vectorized convergence probe.
+and the vectorized convergence probe.
 """
 
 import os
@@ -32,7 +32,7 @@ ME = 0x0001
 
 
 def entries(*rows):
-    return tuple(RoutingEntry.trusted(a, m, r) for a, m, r in rows)
+    return tuple(RoutingEntry.from_row(row) for row in rows)
 
 
 class TestFactory:
@@ -43,8 +43,10 @@ class TestFactory:
         # not leak in.
         monkeypatch.delenv("REPRO_ROUTING_IMPL", raising=False)
 
-    def test_auto_prefers_columnar_when_numpy_present(self):
-        assert isinstance(make_routing_table(ME), ColumnarRoutingTable)
+    def test_auto_resolves_to_scalar(self):
+        table = make_routing_table(ME)
+        assert type(table) is RoutingTable
+        assert type(make_routing_table(ME, impl="auto")) is RoutingTable
 
     def test_explicit_scalar(self):
         assert isinstance(make_routing_table(ME, impl="scalar"), RoutingTable)
@@ -184,36 +186,6 @@ class TestCoversAll:
     def test_own_address_counts_as_covered(self):
         t = ColumnarRoutingTable(ME)
         assert t.covers_all(as_address_array([ME]))
-
-
-class TestAdvertisedWireRows:
-    def test_body_matches_scalar_snapshot_encoding(self):
-        import struct
-
-        pack_row = struct.Struct("<HBB").pack  # the serialization layout
-        scalar = RoutingTable(ME)
-        columnar = ColumnarRoutingTable(ME)
-        for table in (scalar, columnar):
-            table.process_hello(0x99, entries((0x10, 1, 0), (0x30, 2, 1)), now=0.0)
-        addresses, metrics, roles, body = columnar.advertised_wire_rows(self_role=2)
-        rows = scalar.snapshot(self_role=2)
-        assert addresses == [r.address for r in rows]
-        assert metrics == [r.metric for r in rows]
-        assert roles == [r.role for r in rows]
-        assert body == b"".join(pack_row(r.address, r.metric, r.role) for r in rows)
-
-    def test_memoized_on_version(self):
-        t = ColumnarRoutingTable(ME)
-        t.heard_from(0x10, now=0.0)
-        first = t.advertised_wire_rows()
-        assert t.advertised_wire_rows() is first
-        t.heard_from(0x20, now=1.0)  # version bump invalidates
-        assert t.advertised_wire_rows() is not first
-
-    def test_wire_dtype_is_wire_layout(self):
-        from repro.net.packets import ROUTING_ENTRY_SIZE
-
-        assert routing_store.WIRE_DTYPE.itemsize == ROUTING_ENTRY_SIZE
 
 
 class TestMeshFingerprint:

@@ -184,6 +184,24 @@ class TestLookupAndIteration:
         assert t.destinations() == [N1, FAR]
 
 
+class TestCoversAll:
+    """The one question ``MeshNetwork.converged()`` asks every table."""
+
+    def test_true_when_all_routed(self):
+        t = table()
+        t.process_hello(N1, [RoutingEntry(address=FAR, metric=1)], now=0.0)
+        assert t.covers_all([ME, N1, FAR])
+
+    def test_false_on_any_gap(self):
+        t = table()
+        t.heard_from(N1, now=0.0)
+        assert not t.covers_all([ME, N1, FAR])
+        assert not t.covers_all([0xFFF0])
+
+    def test_own_address_counts_as_covered(self):
+        assert table().covers_all([ME])
+
+
 class TestSnapshot:
     def test_snapshot_advertises_self_at_metric_zero(self):
         t = table()
@@ -194,7 +212,7 @@ class TestSnapshot:
         t = table()
         t.process_hello(N1, [RoutingEntry(address=FAR, metric=1)], now=0.0)
         rows = t.snapshot()
-        advertised = {r.address: r.metric for r in rows}
+        advertised = {address: metric for address, metric, _role in rows}
         assert advertised == {ME: 0, N1: 1, FAR: 2}
 
     def test_snapshot_role_flag(self):

@@ -3,6 +3,7 @@
 import struct
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.net import packets as pk
 from repro.net.packets import (
@@ -19,11 +20,23 @@ from repro.net.packets import (
 from repro.net.serialization import DecodeError, decode, encode, encoded_size
 
 
+def routing_bodies(max_rows: int = pk.MAX_ROUTING_ENTRIES):
+    """Valid ROUTING bodies: whole (address != 0, metric, role) rows."""
+    rows = st.tuples(st.integers(1, 0xFFFF), st.integers(0, 0xFF), st.integers(0, 0xFF))
+    return st.lists(rows, max_size=max_rows).map(
+        lambda rows: b"".join(struct.pack("<HBB", *row) for row in rows)
+    )
+
+
+def routing_frame(body: bytes, src: int = 0x0A0B) -> bytes:
+    return struct.pack("<HHBB", 0xFFFF, src, int(PacketType.ROUTING), len(body)) + body
+
+
 SAMPLE_PACKETS = [
-    RoutingPacket(src=0x0A0B, entries=()),
+    RoutingPacket(src=0x0A0B, rows=()),
     RoutingPacket(
         src=0x0A0B,
-        entries=(RoutingEntry(address=0x0001, metric=0), RoutingEntry(address=0x0002, metric=3, role=1)),
+        rows=(RoutingEntry(address=0x0001, metric=0), RoutingEntry(address=0x0002, metric=3, role=1)),
     ),
     DataPacket(dst=0x0001, src=0x0002, via=0x0003, payload=b"hello"),
     DataPacket(dst=0xFFFF, src=0x0002, via=0xFFFF, payload=b""),
@@ -49,6 +62,40 @@ class TestRoundTrip:
         assert len(encode(big)) <= pk.MAX_PHY_PAYLOAD
 
 
+class TestRoutingRows:
+    @given(routing_bodies())
+    def test_body_round_trip(self, body):
+        frame = routing_frame(body)
+        assert encode(decode(frame)) == frame
+
+    @given(routing_bodies())
+    def test_decoded_packet_equals_entry_built_twin(self, body):
+        decoded = decode(routing_frame(body))
+        twin = RoutingPacket(
+            src=0x0A0B, rows=tuple(RoutingEntry(*row) for row in struct.iter_unpack("<HBB", body))
+        )
+        assert decoded == twin
+        assert decoded.entries == twin.entries
+        assert [(e.address, e.metric, e.role) for e in decoded.entries] == list(decoded.rows)
+
+    @given(routing_bodies(pk.MAX_ROUTING_ENTRIES - 1), st.data())
+    def test_zero_address_anywhere_rejected(self, body, data):
+        row = data.draw(st.integers(0, len(body) // pk.ROUTING_ENTRY_SIZE))
+        offset = row * pk.ROUTING_ENTRY_SIZE
+        hostile = body[:offset] + struct.pack("<HBB", 0, 1, 0) + body[offset:]
+        with pytest.raises(DecodeError):
+            decode(routing_frame(hostile))
+
+    @given(routing_bodies(), st.integers(1, pk.ROUTING_ENTRY_SIZE - 1))
+    def test_partial_row_rejected(self, body, extra):
+        with pytest.raises(DecodeError):
+            decode(routing_frame(body + bytes([0x01] * extra)))
+
+    def test_out_of_range_row_not_encodable(self):
+        with pytest.raises(ValueError):
+            encode(RoutingPacket(src=1, rows=((0x10000, 1, 0),)))
+
+
 class TestWireLayout:
     def test_header_layout_little_endian(self):
         frame = encode(DataPacket(dst=0x0102, src=0x0304, via=0x0506, payload=b"AB"))
@@ -62,17 +109,17 @@ class TestWireLayout:
         assert frame[8:] == b"AB"
 
     def test_routing_entry_is_four_bytes(self):
-        one = encode(RoutingPacket(src=1, entries=(RoutingEntry(address=2, metric=1),)))
+        one = encode(RoutingPacket(src=1, rows=(RoutingEntry(address=2, metric=1),)))
         two = encode(
             RoutingPacket(
                 src=1,
-                entries=(RoutingEntry(address=2, metric=1), RoutingEntry(address=3, metric=2)),
+                rows=(RoutingEntry(address=2, metric=1), RoutingEntry(address=3, metric=2)),
             )
         )
         assert len(two) - len(one) == 4
 
     def test_header_is_six_bytes(self):
-        assert len(encode(RoutingPacket(src=1, entries=()))) == 6
+        assert len(encode(RoutingPacket(src=1, rows=()))) == 6
 
     def test_ack_frame_is_eleven_bytes(self):
         # header(6) + via(2) + seq(1) + number(2)

@@ -12,6 +12,12 @@ class TestNormalisation:
         assert normalize_label("tx#123 end") == "tx#N end"
         assert normalize_label("radio7 txdone") == "radioN txdone"
 
+    def test_hex_addresses_share_one_bin(self):
+        labels = ("000F pump", "00AF pump", "1234 pump", "ABCD pump")
+        assert {normalize_label(label) for label in labels} == {"N pump"}
+        assert normalize_label("hello 0x000f") == normalize_label("hello 0x00af") == "hello N"
+        assert normalize_label("stream(0x00af,12) gap") == "stream(N,N) gap"
+
     def test_callback_name_for_functions(self):
         def handler():
             pass
@@ -50,7 +56,7 @@ class TestRecording:
         sim.run()
         groups = {spot.name: spot for spot in profiler.table()}
         assert groups["N pump"].events == 4
-        assert groups["hello NxN"].events == 1
+        assert groups["hello N"].events == 1
         assert profiler.total_events == 5
 
     def test_unlabelled_events_use_callback_name(self):

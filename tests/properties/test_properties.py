@@ -45,7 +45,7 @@ packets = st.one_of(
     st.builds(
         RoutingPacket,
         src=addresses,
-        entries=st.lists(routing_entries, max_size=MAX_ROUTING_ENTRIES).map(tuple),
+        rows=st.lists(routing_entries, max_size=MAX_ROUTING_ENTRIES).map(tuple),
     ),
     st.builds(
         DataPacket,
@@ -178,7 +178,7 @@ class TestRoutingTableProperties:
         # The snapshot must fit the hello packet machinery.
         for start in range(0, len(rows), MAX_ROUTING_ENTRIES):
             chunk = tuple(rows[start : start + MAX_ROUTING_ENTRIES])
-            serialization.encode(RoutingPacket(src=me, entries=chunk))
+            serialization.encode(RoutingPacket(src=me, rows=chunk))
 
     @given(events=hello_events, cutoff=st.floats(min_value=0.0, max_value=2000.0))
     def test_purge_removes_only_stale(self, events, cutoff):

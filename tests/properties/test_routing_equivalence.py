@@ -38,7 +38,7 @@ entry_rows = st.tuples(addresses, metrics, roles)
 
 
 def _entries(rows):
-    return tuple(RoutingEntry.trusted(a, m, r) for a, m, r in rows)
+    return tuple(RoutingEntry.from_row(row) for row in rows)
 
 
 hello_ops = st.tuples(
@@ -134,8 +134,12 @@ def _run_pair(ops, *, snr_tiebreak_db=None, route_timeout=50.0):
             columnar.set_route(a, b, max(1, c), 0, now)
         assert scalar.version == columnar.version
         assert scalar.size == columnar.size
+        assert scalar.snapshot() == columnar.snapshot()
     assert scalar_events == columnar_events
     assert _dump(scalar) == _dump(columnar)
+    # The advertised rows mirror the live table.
+    live = [(address, metric, role) for address, _via, metric, role, _at, _snr in _dump(scalar)]
+    assert scalar.snapshot(self_role=1) == [(SELF, 0, 1)] + live
     assert list(scalar.destinations()) == list(columnar.destinations())
     assert sorted(scalar.neighbours()) == sorted(columnar.neighbours())
     for address in scalar.destinations():
