@@ -221,7 +221,7 @@ class AodvNode:
         self.sim.schedule(
             self.DISCOVERY_WAIT_S,
             lambda: self._attempt_discovery(dst),
-            label=f"aodv{self.address:04x} rediscover",
+            label=f"aodv {self.address:04X} rediscover",
         )
 
     # ==================================================================
@@ -388,7 +388,7 @@ class AodvNode:
         self._pump_armed = True
         self.sim.schedule(
             self._rng.uniform(0, self.backoff_max_s), self._pump,
-            label=f"aodv{self.address:04x} pump",
+            label=f"aodv {self.address:04X} pump",
         )
 
     def _pump(self) -> None:
@@ -402,7 +402,7 @@ class AodvNode:
             self._pump_armed = True
             self.sim.schedule(
                 self.duty.next_allowed_time(now, airtime) - now, self._pump,
-                label=f"aodv{self.address:04x} duty",
+                label=f"aodv {self.address:04X} duty",
             )
             return
         # Listen before talk: an RREQ flood plus its RREP all land within
@@ -412,7 +412,7 @@ class AodvNode:
             self._pump_armed = True
             self.sim.schedule(
                 self._rng.uniform(0.02, self.backoff_max_s), self._pump,
-                label=f"aodv{self.address:04x} cad",
+                label=f"aodv {self.address:04X} cad",
             )
             return
         self._cad_attempts = 0

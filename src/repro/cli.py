@@ -213,11 +213,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
         )
         engine.start()
-        if recorder is not None:
-            # The engine's managers were created after the recorder
-            # tapped the nodes; watch them so stream rows land too.
-            for manager in engine.managers():
-                recorder.watch_stream_manager(manager)
     remaining = args.duration - net.sim.now
     if remaining > 0:
         net.run(for_s=remaining)

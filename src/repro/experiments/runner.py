@@ -160,9 +160,9 @@ def run_protocol(
     :class:`~repro.obs.store.EventStore` at that path: frames (unless
     ``store_frames=False``), route events, forwarding decisions,
     deliveries, invariant violations, and registry samples, queryable
-    live by ``repro serve`` while the run executes.  Recording rides
-    observer taps only, so the run's outcome is identical with the
-    store on or off.  When ``sample_period_s`` is not given, a store
+    live by ``repro serve`` while the run executes.  Recording only
+    observes (the simulation's observer bus), so the run's outcome is
+    identical with the store on or off.  When ``sample_period_s`` is not given, a store
     run samples every 60 simulated seconds so dashboards get health
     trajectories.
 
@@ -196,7 +196,7 @@ def run_protocol(
     event_store: Optional[EventStore] = None
     store_recorder: Optional[StoreRecorder] = None
 
-    def _attach_store(net, sampler, checker=None) -> None:
+    def _attach_store(net, sampler) -> None:
         nonlocal event_store, store_recorder
         if store is None:
             return
@@ -206,7 +206,7 @@ def run_protocol(
         event_store.set_meta("n_nodes", len(positions))
         event_store.set_meta("duration_s", duration_s)
         store_recorder = StoreRecorder(
-            event_store, net, sampler=sampler, checker=checker, frames=store_frames
+            event_store, net, sampler=sampler, frames=store_frames
         ).attach()
 
     def _attach_sampler(net) -> Optional[TimeSeriesSampler]:
@@ -233,7 +233,7 @@ def run_protocol(
             ).attach()
         if fault_plan is not None:
             FaultInjector(net, fault_plan, seed=seed).arm()
-        _attach_store(net, sampler, checker)
+        _attach_store(net, sampler)
         convergence = None
         if protocol is Protocol.MESH and converge_first:
             convergence = net.run_until_converged(timeout_s=converge_timeout_s)

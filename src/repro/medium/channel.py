@@ -180,6 +180,20 @@ class Medium:
     attached radio with the outcome (only successful demodulations and
     CRC-corrupted frames are delivered; frames below sensitivity are
     silent, as on real hardware).
+
+    Observers subscribe on the simulation's bus (:attr:`bus`, see
+    :mod:`repro.sim.bus`): ``transmit_start(medium, tx)`` when a local
+    frame goes on the air (not for :meth:`inject_external` ghosts),
+    ``frame(medium, tx)`` once per completed transmission, and
+    ``transmission(medium, tx, outcomes)`` once per completed
+    transmission with every listener's :class:`DropReason`.
+
+    The aggregate fast path (culled listeners counted, not replayed)
+    switches off only while ``transmission`` has subscribers: its
+    per-listener outcomes need the full resolution loop.  ``frame``
+    subscribers keep the fast path, which is why the event store
+    records frames through ``frame`` by default.  Outcomes are the same
+    on either path.
     """
 
     def __init__(
@@ -255,25 +269,10 @@ class Medium:
         # an attach/detach (deliver callbacks may mutate the listener map
         # mid-resolution, which must not disturb the in-progress loop).
         self._listener_snapshot: Optional[Tuple[MediumListener, ...]] = None
-        #: Optional sniffer hook: called once per completed transmission
-        #: with the per-listener outcomes (see repro.trace.capture).
-        #: Attaching it disables the aggregate accounting fast path —
-        #: per-listener outcomes require the full resolution loop.
-        self.on_transmission: Optional[
-            Callable[[Transmission, Dict[int, DropReason]], None]
-        ] = None
-        #: Optional *lightweight* sniffer: called once per completed
-        #: transmission with the transmission only (no outcomes), from
-        #: both the aggregate and the per-listener completion paths, so
-        #: attaching it keeps the fast path.  The event store's default
-        #: frame stream uses this.
-        self.on_frame: Optional[Callable[[Transmission], None]] = None
-        #: Optional hook fired the instant a *local* frame goes on the
-        #: air (from :meth:`begin_transmission`, not from
-        #: :meth:`inject_external`).  The sharded runner uses it to
-        #: export boundary-crossing transmissions; a pure observer, so
-        #: attaching it cannot change outcomes.
-        self.on_transmit_start: Optional[Callable[[Transmission], None]] = None
+        #: The simulation's observer bus; the medium publishes
+        #: ``frame``, ``transmission`` and ``transmit_start`` on it (see
+        #: the class docstring).
+        self.bus = sim.bus
         #: Interning table for externally injected params: ghost frames
         #: arrive from other processes with fresh (unpickled) LoRaParams
         #: objects, and the reachable/max-range caches key on
@@ -474,8 +473,10 @@ class Medium:
         if airtime <= 0:
             raise ValueError(f"airtime must be positive, got {airtime}")
         tx = self._launch(sender_id, position, params, payload, airtime)
-        if self.on_transmit_start is not None:
-            self.on_transmit_start(tx)
+        subscribers = self.bus.transmit_start
+        if subscribers:
+            for fn in subscribers:
+                fn(self, tx)
         return tx
 
     def inject_external(
@@ -492,8 +493,8 @@ class Medium:
         remote shards through this entry point: the ghost frame occupies
         the channel (CAD sees it, it interferes, listeners in range can
         receive it) exactly like a local one, but no listener delivery
-        ever targets the remote sender and :attr:`on_transmit_start`
-        does not fire (the coordinator already routed the frame to every
+        ever targets the remote sender and ``transmit_start`` is not
+        published (the coordinator already routed the frame to every
         strip its audible disk touches, so re-export would duplicate).
         """
         if airtime <= 0:
@@ -544,15 +545,17 @@ class Medium:
         self._active.pop(tx.tx_id, None)
         self._recent.append(tx)
         self._prune_recent(tx.start)
-        if self.on_frame is not None:
-            self.on_frame(tx)
+        bus = self.bus
+        if bus.frame:
+            for fn in bus.frame:
+                fn(self, tx)
         if self._rx_entries:
             self._prune_rx_entries(tx.start)
         entry = self._reachable_entry(tx) if self.use_reachability else None
         if (
             entry is not None
             and self.use_batch_phy
-            and self.on_transmission is None
+            and not bus.transmission
             and len(self._reporting) == len(self._listeners)
             and len(self._compat_counts) == 1
         ):
@@ -560,7 +563,8 @@ class Medium:
             # the medium and the whole network is tuned to one (SF, BW,
             # freq), so culled listeners are accounted in O(candidates +
             # currently-not-receiving) instead of an O(N) replay loop.
-            # Requires no sniffer (which needs per-listener outcomes).
+            # Requires no ``transmission`` subscriber (which needs
+            # per-listener outcomes).
             self._complete_aggregate(tx, entry)
             return
         listeners = self._listener_snapshot
@@ -603,8 +607,8 @@ class Medium:
             outcomes[node_id] = reason
             if reason is DropReason.DELIVERED or reason is DropReason.COLLISION:
                 listener.deliver(outcome)
-        if self.on_transmission is not None:
-            self.on_transmission(tx, outcomes)
+        for fn in bus.transmission:
+            fn(self, tx, outcomes)
 
     def _complete_aggregate(self, tx: Transmission, entry: _ReachableEntry) -> None:
         """Frame completion with aggregate accounting for culled listeners.
@@ -699,10 +703,6 @@ class Medium:
         while entries and entries[0][0] <= horizon:
             entries.popleft()
 
-    def _reachable(self, tx: Transmission) -> FrozenSet[int]:
-        """Membership-only view of :meth:`_reachable_entry` (compat shim)."""
-        return self._reachable_entry(tx)[1]
-
     def _reachable_entry(self, tx: Transmission) -> _ReachableEntry:
         """Listener ids whose link from ``tx``'s origin clears sensitivity,
         as (attachment-ordered tuple, frozenset).
@@ -792,7 +792,7 @@ class Medium:
         self,
         overlapping: List[Transmission],
         resolve: List[Tuple[int, MediumListener]],
-    ) -> Optional[Dict[int, List[float]]]:
+    ) -> Dict[int, List[float]]:
         """Interferer RSSI per (candidate listener, overlapping frame).
 
         One vectorized call per completed transmission computes what the
@@ -801,11 +801,8 @@ class Medium:
         ``received_power_dbm``, so every row value is bit-identical —
         :meth:`_survives_all_interference` can use them interchangeably.
 
-        Returns ``{node_id: [rssi_dbm per overlapping index]}``, or None
-        when numpy is unavailable (callers fall back to scalar lookups).
+        Returns ``{node_id: [rssi_dbm per overlapping index]}``.
         """
-        if not _batch.HAVE_NUMPY:
-            return None
         rx_positions = [listener.position for _, listener in resolve]
         # Interferers usually share one LoRaParams object; group by
         # identity so heterogeneous networks still batch per group.
@@ -938,10 +935,6 @@ class Medium:
             if other.overlaps(tx) and other.same_channel(tx):
                 out.append(other)
         return out
-
-    # Kept as a staticmethod alias for backwards compatibility; the hot
-    # paths call the module-level function directly.
-    _params_compatible = staticmethod(_params_compatible)
 
     def _prune_recent(self, horizon: float) -> None:
         """Drop completed transmissions that can no longer overlap anything

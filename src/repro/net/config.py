@@ -44,7 +44,7 @@ class MesherConfig:
     link_quality_tiebreak_db: "float | None" = None
     #: Routing-table implementation: "auto" (the scalar table, faster end
     #: to end), "scalar" (the dict-of-entries table) or "columnar" (the
-    #: vectorized numpy store; requires numpy).  The two are observably
+    #: vectorized numpy store).  The two are observably
     #: equivalent — asserted by the equivalence suite — and the
     #: REPRO_ROUTING_IMPL env var overrides this field.
     routing_impl: str = "auto"

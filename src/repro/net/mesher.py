@@ -155,21 +155,14 @@ class MesherNode:
         #: Optional push-style delivery; fires in addition to the inbox.
         self.on_message: Optional[Callable[[AppMessage], None]] = None
 
-        # Observer taps (see repro.verify): read-only hooks the invariant
-        # checker and other observers attach to.  All default to None and
-        # cost one attribute load when unused.  They survive recover()
-        # because the recreated table's on_change still points at
-        # _route_changed, which fans out to on_route_event.
-        #: ``(packet, decision, previous_hop)`` after every via-packet
-        #: classification (previous_hop is the simulator-side transmitter
-        #: id, -1 when unknown).
-        self.on_forward_decision: Optional[Callable[[Packet, object, int], None]] = None
-        #: ``(kind, entry)`` mirrored from the routing table's change
-        #: hook (kind in {"added", "updated", "removed"}).
-        self.on_route_event: Optional[Callable[[str, RouteEntry], None]] = None
-        #: ``(message)`` on every application-layer delivery, before the
-        #: inbox push (fires even when the inbox would overflow).
-        self.on_app_delivery: Optional[Callable[[AppMessage], None]] = None
+        # Observers watch this node through the simulator's bus
+        # (repro.sim.bus): it publishes ``route`` (mirrored from the
+        # table's change hook, so it survives recover()), ``forward``
+        # after every via-packet classification (previous_hop is the
+        # simulator-side transmitter id, -1 when unknown) and
+        # ``app_delivery`` before the inbox push (even when the inbox
+        # would overflow).
+        self._bus = sim.bus
         #: ``(src, payload) -> bool`` consume hook ahead of the reliable
         #: inbox path: a protocol layered on the reliable transport (the
         #: stream layer) returns True to claim the payload, and the
@@ -431,8 +424,10 @@ class MesherNode:
 
     def _handle_via_packet(self, packet, *, previous_hop: int = -1) -> None:
         decision = classify(packet, self.address, self.table, previous_hop=previous_hop)
-        if self.on_forward_decision is not None:
-            self.on_forward_decision(packet, decision, previous_hop)
+        subscribers = self._bus.forward
+        if subscribers:
+            for fn in subscribers:
+                fn(self, packet, decision, previous_hop)
         if decision.action is ForwardAction.DELIVER:
             self._deliver(packet)
         elif decision.action is ForwardAction.FORWARD:
@@ -492,8 +487,10 @@ class MesherNode:
             bytes=len(message.payload),
             reliable=message.reliable,
         )
-        if self.on_app_delivery is not None:
-            self.on_app_delivery(message)
+        subscribers = self._bus.app_delivery
+        if subscribers:
+            for fn in subscribers:
+                fn(self, message)
         self.inbox.push(message)
         if self.on_message is not None:
             self.on_message(message)
@@ -506,8 +503,10 @@ class MesherNode:
     }
 
     def _route_changed(self, kind: str, entry: RouteEntry) -> None:
-        if self.on_route_event is not None:
-            self.on_route_event(kind, entry)
+        subscribers = self._bus.route
+        if subscribers:
+            for fn in subscribers:
+                fn(self, kind, entry)
         trace = self.trace
         if trace is None:
             return

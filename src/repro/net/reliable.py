@@ -202,11 +202,12 @@ class ReliableTransport:
         #: was lost instead of treating retransmissions as a new stream.
         self._completed_inbound: Dict[Tuple[int, int], Tuple[float, int]] = {}
 
-        #: Observer tap (see repro.verify): ``(src, seq_id, kind)`` on
-        #: every reliable delivery to the application, with kind in
-        #: {"single", "stream"}.  The invariant checker uses it to assert
-        #: exactly-once delivery per (receiver, src, seq).
-        self.on_deliver: Optional[Callable[[int, int, str], None]] = None
+        #: Every reliable delivery to the application is published on
+        #: the bus topic ``reliable_delivery`` as ``(transport, src,
+        #: seq_id, kind)`` with kind in {"single", "stream"}; the
+        #: invariant checker asserts exactly-once delivery per
+        #: (receiver, src, seq) from it.
+        self._bus = sim.bus
 
         #: Per-destination SRTT/RTTVAR estimators feeding the adaptive
         #: retransmit timer (config.adaptive_rto).
@@ -596,8 +597,7 @@ class ReliableTransport:
         if duplicate:
             self.duplicates_suppressed += 1
             return
-        if self.on_deliver is not None:
-            self.on_deliver(packet.src, packet.seq_id, "single")
+        self._publish_delivery(packet.src, packet.seq_id, "single")
         self._deliver(packet.src, packet.payload)
 
     def handle_sync(self, packet: SyncPacket) -> None:
@@ -618,8 +618,7 @@ class ReliableTransport:
             # without this the empty payload arrives once per SYNC retry.
             self._completed_inbound[key] = (self._sim.now, 0)
             self._send_ack(packet.src, packet.seq_id, number=0)
-            if self.on_deliver is not None:
-                self.on_deliver(packet.src, packet.seq_id, "stream")
+            self._publish_delivery(packet.src, packet.seq_id, "stream")
             self._deliver(packet.src, b"")
             return
         if len(self._inbound) >= self._config.max_inbound_streams:
@@ -743,8 +742,7 @@ class ReliableTransport:
                 stream.total_bytes,
             )
         self._send_ack(stream.src, stream.seq_id, number=stream.total_fragments)
-        if self.on_deliver is not None:
-            self.on_deliver(stream.src, stream.seq_id, "stream")
+        self._publish_delivery(stream.src, stream.seq_id, "stream")
         self._deliver(stream.src, payload)
 
     def _arm_gap_timer(self, stream: _InboundStream) -> None:
@@ -781,6 +779,12 @@ class ReliableTransport:
                     break
         self._arm_gap_timer(stream)
 
+    def _publish_delivery(self, src: int, seq_id: int, kind: str) -> None:
+        subscribers = self._bus.reliable_delivery
+        if subscribers:
+            for fn in subscribers:
+                fn(self, src, seq_id, kind)
+
     def _send_ack(self, dst: int, seq_id: int, *, number: int) -> None:
         via = self._route_via(dst)
         if via is None:
@@ -813,6 +817,11 @@ class ReliableTransport:
             del self._completed_inbound[key]
 
     # ------------------------------------------------------------------
+    @property
+    def address(self) -> int:
+        """The owning node's address (the receiver of its deliveries)."""
+        return self._address
+
     @property
     def active_outbound(self) -> int:
         """In-flight outbound singles + streams (diagnostic)."""

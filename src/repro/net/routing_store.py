@@ -52,25 +52,18 @@ from __future__ import annotations
 import logging
 from typing import Callable, Dict, Iterator, List, Optional
 
+import numpy as np
+
 from repro.net.addresses import BROADCAST_ADDRESS, format_address
 from repro.net.packets import Row, RoutingEntry
 from repro.net.routing_table import _DEFAULT_ROLE, _MERGE_MEMO_MAX, ChangeHook, RouteEntry
-
-try:  # pragma: no cover - import guard mirrors repro.phy.batch
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
 
 logger = logging.getLogger(__name__)
 
 #: NaN encodes "no measured SNR" (the scalar table's ``None``).
 _NAN = float("nan")
 
-if HAVE_NUMPY:
-    _EMPTY_SLOTS = np.empty(0, dtype=np.int64)
+_EMPTY_SLOTS = np.empty(0, dtype=np.int64)
 
 
 #: Id-keyed memo of the column view of a hello's rows tuple.  Rows
@@ -181,8 +174,6 @@ class ColumnarRoutingTable:
         snr_tiebreak_db: Optional[float] = None,
         on_change: Optional[ChangeHook] = None,
     ) -> None:
-        if not HAVE_NUMPY:  # pragma: no cover - guarded by the factory
-            raise RuntimeError("ColumnarRoutingTable requires numpy")
         if route_timeout <= 0:
             raise ValueError("route_timeout must be positive")
         if not 1 <= max_metric <= 255:

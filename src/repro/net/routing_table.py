@@ -492,8 +492,7 @@ def make_routing_table(
     mesh between implementations without touching configs.
 
     ``auto`` resolves to the scalar table, which is faster end to end
-    (see docs/performance.md, "Routing rows").  ``columnar`` without
-    numpy raises.
+    (see docs/performance.md, "Routing rows").
     """
     choice = os.environ.get("REPRO_ROUTING_IMPL") or impl
     if choice not in ROUTING_IMPLS:
@@ -501,8 +500,6 @@ def make_routing_table(
     if choice == "columnar":
         from repro.net import routing_store
 
-        if not routing_store.HAVE_NUMPY:
-            raise RuntimeError("routing_impl='columnar' requires numpy")
         return routing_store.ColumnarRoutingTable(
             self_address,
             route_timeout=route_timeout,

@@ -285,8 +285,8 @@ class StreamManager:
         if self.window < 1:
             raise ValueError("window must be >= 1")
         node.on_reliable_consume = self._consume
-        #: Discovery handle for observers (the invariant checker finds
-        #: managers through this attribute when it taps a node).
+        #: Discovery handle: the flow engine reuses a node's manager
+        #: through this attribute.
         node.stream_manager = self
         self._next_stream_id = 0
         #: Streams this node initiated, keyed (peer, stream_id).
@@ -295,12 +295,13 @@ class StreamManager:
         self._accepted: Dict[Tuple[int, int], Stream] = {}
         #: ``(stream) -> bool | None`` on every inbound SYN; None accepts.
         self.on_accept: Optional[Callable[[Stream], Optional[bool]]] = None
-        #: Observer tap (see repro.verify): ``(kind, peer, stream_id,
-        #: initiator_side, msg_seq)`` with kind in {"deliver",
-        #: "duplicate", "open", "accept", "close", "reset"}.  ``deliver``
-        #: fires per in-order app delivery — the STREAM_ORDERING invariant
-        #: asserts its msg_seq is exactly-once and gapless per stream.
-        self.on_stream_event: Optional[Callable[[str, int, int, bool, int], None]] = None
+        #: Lifecycle and delivery events go to the bus topic ``stream``
+        #: as ``(manager, kind, peer, stream_id, initiator_side,
+        #: msg_seq)`` with kind in {"deliver", "duplicate", "open",
+        #: "accept", "close", "reset"}.  ``deliver`` fires per in-order
+        #: app delivery — the STREAM_ORDERING invariant asserts its
+        #: msg_seq is exactly-once and gapless per stream.
+        self._bus = node.sim.bus
 
         # Counters
         self.streams_opened = 0
@@ -465,8 +466,10 @@ class StreamManager:
         table.pop((stream.peer, stream.stream_id), None)
 
     def _tap(self, kind: str, stream: Stream, msg_seq: int) -> None:
-        if self.on_stream_event is not None:
-            self.on_stream_event(kind, stream.peer, stream.stream_id, stream.initiator, msg_seq)
+        subscribers = self._bus.stream
+        if subscribers:
+            for fn in subscribers:
+                fn(self, kind, stream.peer, stream.stream_id, stream.initiator, msg_seq)
 
     # -- diagnostics ---------------------------------------------------
     @property

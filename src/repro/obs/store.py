@@ -25,12 +25,12 @@ Design
   more than the inserts), while live tailing rides the integer primary
   key.
 * **Outcome-invisible recording.**  :class:`StoreRecorder` attaches to
-  a network purely through observer taps (``on_route_event``,
-  ``on_forward_decision``, ``on_app_delivery``, the medium sniffer
-  hook, trace listeners, sampler subscribers, and the invariant
-  checker's violation hook).  None of them mutate protocol state, so a
-  stored run has the identical fingerprint of an unstored one — the
-  determinism tests assert exactly that.
+  a network purely as an observer: it subscribes to the simulation's
+  observer bus (``route``, ``forward``, ``app_delivery``, ``stream``,
+  ``frame`` or ``transmission``, and ``violation``), to trace
+  listeners and to sampler subscribers.  None of them mutate protocol
+  state, so a stored run has the identical fingerprint of an unstored
+  one — the determinism tests assert exactly that.
 * **JSONL bridges.**  Frame events round-trip with the existing
   :func:`repro.trace.capture.load_capture_jsonl` format, and sample
   events with :meth:`repro.obs.sampler.TimeSeriesSampler.export_jsonl`
@@ -571,9 +571,10 @@ def frame_view(
 class StoreRecorder:
     """Streams a running network into an :class:`EventStore`.
 
-    Attaches purely through observer hooks, chaining any previously
-    installed tap (the invariant checker does the same), so recording
-    composes with verification and never perturbs protocol state::
+    Subscribes to the simulation's observer bus (:mod:`repro.sim.bus`),
+    so recording composes with verification, air capture and any other
+    reader in any attach/detach order, and never perturbs protocol
+    state::
 
         store = EventStore("run.db")
         recorder = StoreRecorder(store, net).attach()
@@ -581,13 +582,14 @@ class StoreRecorder:
         recorder.detach(); store.close()
 
     ``frames`` selects the per-transmission stream (the highest-volume
-    one): ``True`` (default) records every frame through the medium's
-    lightweight ``on_frame`` hook — raw payload, no per-listener
-    outcomes — which keeps the aggregate reception fast path;
-    ``"full"`` uses the ``on_transmission`` sniffer to also record
-    per-listener delivery outcomes (disables the fast path — outcome-
-    equivalent but slower); ``False`` skips frames entirely for runs
-    where only routes/health/violations matter.
+    one): ``True`` (default) records every frame from the bus topic
+    ``frame`` — raw payload, no per-listener outcomes — which keeps the
+    medium's aggregate reception fast path; ``"full"`` subscribes to
+    ``transmission`` to also record per-listener delivery outcomes
+    (disables the fast path — outcome-equivalent but slower); ``False``
+    skips frames entirely for runs where only routes/health/violations
+    matter.  Violations arrive on the ``violation`` topic from any
+    attached invariant checker.
     """
 
     def __init__(
@@ -596,14 +598,12 @@ class StoreRecorder:
         net,
         *,
         sampler=None,
-        checker=None,
         frames: bool = True,
         forwards: bool = True,
     ) -> None:
         self.store = store
         self.net = net
         self.sampler = sampler
-        self.checker = checker
         if frames not in (True, False, "full"):
             raise ValueError(f"frames must be True, False or 'full', got {frames!r}")
         self.frames = frames
@@ -612,14 +612,11 @@ class StoreRecorder:
         # Hot-path caches: the frame hook bypasses append_encoded.
         self._buffer = store._buffer
         self._batch_size = store.batch_size
-        self._saved_taps: Dict[int, tuple] = {}
-        self._saved_sniffer: Optional[Callable] = None
-        self._saved_frame_hook: Optional[Callable] = None
-        self._saved_violation: Optional[Callable] = None
+        self._subscriptions: Tuple[Tuple[str, Callable], ...] = ()
 
     # ------------------------------------------------------------------
     def attach(self) -> "StoreRecorder":
-        """Register nodes, install taps, and start recording."""
+        """Register nodes, subscribe to the bus, and start recording."""
         if self._active:
             return self
         self._active = True
@@ -633,67 +630,40 @@ class StoreRecorder:
                 x, y = 0.0, 0.0
             name = getattr(node, "name", None) or f"0x{node.address:04X}"
             self.store.add_node(node.address, name, x, y)
-            self._tap_node(node)
-        medium = getattr(self.net, "medium", None)
-        if self.frames == "full" and medium is not None:
-            self._saved_sniffer = medium.on_transmission
-            prev = self._saved_sniffer
-
-            def sniff(tx, outcomes, _prev=prev):
-                self._on_transmission(tx, outcomes)
-                if _prev is not None:
-                    _prev(tx, outcomes)
-
-            medium.on_transmission = sniff
-        elif self.frames and medium is not None:
-            self._saved_frame_hook = medium.on_frame
-            prev_frame = self._saved_frame_hook
-            if prev_frame is None:
-                # Common case: no chaining closure on the per-frame path.
-                medium.on_frame = self._on_frame
-            else:
-
-                def frame_hook(tx, _prev=prev_frame):
-                    self._on_frame(tx)
-                    _prev(tx)
-
-                medium.on_frame = frame_hook
+        subscriptions = [
+            ("route", self._on_route_event),
+            ("app_delivery", self._on_app_delivery),
+            ("stream", self._on_stream_event),
+            ("violation", self._on_violation),
+        ]
+        if self.forwards:
+            subscriptions.append(("forward", self._on_forward_decision))
+        if self.frames == "full":
+            subscriptions.append(("transmission", self._on_transmission))
+        elif self.frames:
+            subscriptions.append(("frame", self._on_frame))
+        self._subscriptions = tuple(subscriptions)
+        for topic, fn in self._subscriptions:
+            sim.bus.subscribe(topic, fn)
         trace = getattr(self.net, "trace", None)
         if trace is not None and hasattr(trace, "subscribe"):
             trace.subscribe(self._on_trace_event)
         if self.sampler is not None and hasattr(self.sampler, "subscribe"):
             self.sampler.subscribe(self._on_sample)
-        if self.checker is not None:
-            self._saved_violation = self.checker.on_violation
-            prev_violation = self._saved_violation
-
-            def violation(v, _prev=prev_violation):
-                self._on_violation(v)
-                if _prev is not None:
-                    _prev(v)
-
-            self.checker.on_violation = violation
         self._marker("started")
         return self
 
     def detach(self) -> None:
-        """Restore the original taps; recorded events remain."""
+        """Unsubscribe from the bus; recorded events remain."""
         if not self._active:
             return
         self._marker("finished")
         self.store.set_meta("finished", True)  # live SSE feeds end on this
         self._active = False
-        for node in self.net.nodes:
-            saved = self._saved_taps.pop(node.address, None)
-            if saved is not None:
-                node.on_route_event, node.on_forward_decision, node.on_app_delivery = saved
-        medium = getattr(self.net, "medium", None)
-        if self.frames == "full" and medium is not None:
-            medium.on_transmission = self._saved_sniffer
-        elif self.frames and medium is not None:
-            medium.on_frame = self._saved_frame_hook
-        if self.checker is not None:
-            self.checker.on_violation = self._saved_violation
+        bus = self.net.sim.bus
+        for topic, fn in self._subscriptions:
+            bus.unsubscribe(topic, fn)
+        self._subscriptions = ()
         # Trace/sampler subscriptions cannot be removed from their lists;
         # the _active guard turns them into no-ops instead.
 
@@ -714,74 +684,6 @@ class StoreRecorder:
         )
         self.store.flush()
 
-    def _tap_node(self, node) -> None:
-        if not hasattr(node, "on_route_event"):
-            return  # baseline stacks without the observer taps
-        self._saved_taps[node.address] = (
-            node.on_route_event,
-            node.on_forward_decision,
-            node.on_app_delivery,
-        )
-        manager = getattr(node, "stream_manager", None)
-        if manager is not None:
-            self.watch_stream_manager(manager)
-        prev_route = node.on_route_event
-        prev_forward = node.on_forward_decision
-        prev_delivery = node.on_app_delivery
-
-        def route_event(kind, entry, _node=node, _prev=prev_route):
-            if self._active:
-                self._on_route_event(_node, kind, entry)
-            if _prev is not None:
-                _prev(kind, entry)
-
-        def forward_decision(packet, decision, previous_hop, _node=node, _prev=prev_forward):
-            if self._active and self.forwards:
-                self._on_forward_decision(_node, packet, decision)
-            if _prev is not None:
-                _prev(packet, decision, previous_hop)
-
-        def app_delivery(message, _node=node, _prev=prev_delivery):
-            if self._active:
-                self._on_app_delivery(_node, message)
-            if _prev is not None:
-                _prev(message)
-
-        node.on_route_event = route_event
-        node.on_forward_decision = forward_decision
-        node.on_app_delivery = app_delivery
-
-    def watch_stream_manager(self, manager) -> None:
-        """Record a :class:`~repro.net.stream.StreamManager`'s lifecycle
-        and delivery events as ``KIND_STREAM`` rows, chaining any
-        previously installed tap (the invariant checker composes the
-        same way).  Call for managers created *after* :meth:`attach`;
-        managers already present at attach time are tapped automatically.
-        """
-        prev = manager.on_stream_event
-        address = manager.node.address
-
-        def stream_event(kind, peer, stream_id, initiator_side, msg_seq,
-                         _prev=prev, _address=address):
-            if self._active:
-                self.store.append(
-                    self.net.sim.now,
-                    KIND_STREAM,
-                    {
-                        "event": kind,
-                        "peer": peer,
-                        "stream": stream_id,
-                        "initiator": bool(initiator_side),
-                        "seq": msg_seq,
-                    },
-                    node=_address,
-                    wall=self._wall(),
-                )
-            if _prev is not None:
-                _prev(kind, peer, stream_id, initiator_side, msg_seq)
-
-        manager.on_stream_event = stream_event
-
     # ------------------------------------------------------------------
     # Event builders
     # ------------------------------------------------------------------
@@ -797,7 +699,7 @@ class StoreRecorder:
             wall=self._wall(),
         )
 
-    def _on_forward_decision(self, node, packet, decision) -> None:
+    def _on_forward_decision(self, node, packet, decision, previous_hop) -> None:
         action = decision.action.value if hasattr(decision.action, "value") else str(decision.action)
         if action not in ("forward", "no_route"):
             return  # deliveries land as KIND_DELIVERY; overhears are noise
@@ -826,7 +728,7 @@ class StoreRecorder:
             wall=self._wall(),
         )
 
-    def _on_frame(self, tx) -> None:
+    def _on_frame(self, medium, tx) -> None:
         # Hot path: one call per transmitted frame.  Only the
         # irreducible fields are stored — payload (hex) and airtime —
         # with the JSON built by hand and the row pushed straight into
@@ -834,8 +736,6 @@ class StoreRecorder:
         # json.dumps, duplicated time/sender fields, wall stamps) is
         # what would break the <10% store-overhead budget.  frame_view
         # reconstitutes the full air-capture shape on read.
-        if not self._active:
-            return
         buffer = self._buffer
         buffer.append(
             (
@@ -849,10 +749,8 @@ class StoreRecorder:
         if len(buffer) >= self._batch_size:
             self.store.flush()
 
-    def _on_transmission(self, tx, outcomes) -> None:
+    def _on_transmission(self, medium, tx, outcomes) -> None:
         # frames="full" path: per-listener outcomes included.
-        if not self._active:
-            return
         outcomes_json = ", ".join(
             f'"{n}": "{r._value_}"' for n, r in outcomes.items()
         )
@@ -862,6 +760,21 @@ class StoreRecorder:
         )
         self.store.append_encoded(
             tx.start, KIND_FRAME, data, node=tx.sender_id, wall=self._wall()
+        )
+
+    def _on_stream_event(self, manager, kind, peer, stream_id, initiator_side, msg_seq) -> None:
+        self.store.append(
+            self.net.sim.now,
+            KIND_STREAM,
+            {
+                "event": kind,
+                "peer": peer,
+                "stream": stream_id,
+                "initiator": bool(initiator_side),
+                "seq": msg_seq,
+            },
+            node=manager.node.address,
+            wall=self._wall(),
         )
 
     def _on_trace_event(self, event) -> None:
@@ -890,9 +803,7 @@ class StoreRecorder:
         )
         self.store.flush()  # samples pace the live dashboard; land them now
 
-    def _on_violation(self, violation) -> None:
-        if not self._active:
-            return
+    def _on_violation(self, checker, violation) -> None:
         self.store.append(
             violation.time,
             KIND_VIOLATION,

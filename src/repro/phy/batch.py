@@ -45,13 +45,7 @@ from repro.phy.pathloss import (
     Position,
 )
 
-try:  # numpy is a declared dependency, but degrade gracefully without it
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+import numpy as np
 
 
 # ----------------------------------------------------------------------
@@ -193,8 +187,7 @@ def supports_batch_model(model: PathLossModel) -> bool:
     exact type registered, loss static in time, and realisation
     independent of evaluation order."""
     return (
-        HAVE_NUMPY
-        and type(model) in _BATCH_KERNELS
+        type(model) in _BATCH_KERNELS
         and not model.time_varying
         and not model.order_sensitive
     )

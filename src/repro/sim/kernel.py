@@ -21,6 +21,7 @@ import logging
 from time import perf_counter
 from typing import Any, Callable, Optional, Union
 
+from repro.sim.bus import ObserverBus
 from repro.sim.errors import SchedulingError, SimulationError
 
 logger = logging.getLogger(__name__)
@@ -137,6 +138,9 @@ class Simulator:
         #: reported via ``profiler.record(label, callback, elapsed_s)``.
         #: Costs nothing when None.
         self.profiler: Optional[Any] = None
+        #: Observer bus for this simulation (see :mod:`repro.sim.bus`):
+        #: every layer built on this kernel publishes to it.
+        self.bus = ObserverBus()
         # Wall-clock anchor for observability timestamps (see
         # ``wall_elapsed``); never read by the kernel itself.
         self._wall_start: float = perf_counter()

@@ -270,7 +270,7 @@ class _ShardSim:
             addresses=[all_addresses[i] for i in owned_indices],
             trace_enabled=False,
         )
-        self.net.medium.on_transmit_start = self._on_transmit_start
+        self.net.sim.bus.subscribe("transmit_start", self._on_transmit_start)
         if verify:
             from repro.verify.invariants import InvariantChecker
 
@@ -279,8 +279,8 @@ class _ShardSim:
             ).attach()
 
     # -- boundary export -----------------------------------------------
-    def _on_transmit_start(self, tx) -> None:
-        radius = self.net.medium.max_range_m(tx.params)  # type: ignore[union-attr]
+    def _on_transmit_start(self, medium, tx) -> None:
+        radius = medium.max_range_m(tx.params)
         if radius is None:
             targets = tuple(i for i in range(self.plan.shards) if i != self.index)
         else:

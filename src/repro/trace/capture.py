@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.medium.channel import DropReason, Medium, Transmission
 from repro.net import serialization
@@ -47,24 +47,31 @@ class CapturedFrame:
 
 
 class AirCapture:
-    """Records every frame on a medium until :meth:`stop`."""
+    """Records every frame on a medium until :meth:`stop`.
+
+    Subscribes to the bus topic ``transmission`` (per-listener outcomes),
+    so the medium leaves its aggregate fast path while a capture runs;
+    any number of captures and other bus readers can run side by side.
+    """
 
     def __init__(self, medium: Medium, *, capacity: Optional[int] = None) -> None:
-        if medium.on_transmission is not None:
-            raise RuntimeError("medium already has a sniffer attached")
-        self._medium = medium
         self.capacity = capacity
         self.frames: List[CapturedFrame] = []
         self.total_seen = 0
-        medium.on_transmission = self._on_transmission
+        self._bus = medium.bus
+        self._tap: Optional[Callable] = self._on_transmission
+        self._bus.subscribe("transmission", self._tap)
 
     def stop(self) -> None:
-        """Detach from the medium (captured frames remain)."""
-        if self._medium.on_transmission == self._on_transmission:
-            self._medium.on_transmission = None
+        """Unsubscribe from the medium (captured frames remain)."""
+        if self._tap is not None:
+            self._bus.unsubscribe("transmission", self._tap)
+            self._tap = None
 
     # ------------------------------------------------------------------
-    def _on_transmission(self, tx: Transmission, outcomes: Dict[int, DropReason]) -> None:
+    def _on_transmission(
+        self, medium: Medium, tx: Transmission, outcomes: Dict[int, DropReason]
+    ) -> None:
         self.total_seen += 1
         if self.capacity is not None and len(self.frames) >= self.capacity:
             return

@@ -3,10 +3,11 @@
 The simulator can see what no real deployment can: every routing table,
 queue counter, and duty-cycle ledger at once.  :class:`InvariantChecker`
 exploits that omniscience to audit the protocol's global invariants
-while a scenario runs — as an *observer* riding the node taps
-(``on_route_event``, ``on_forward_decision``, ``reliable.on_deliver``)
-plus a periodic full audit.  It never mutates protocol state, so an
-audited run is bit-identical to an unaudited one.
+while a scenario runs — as an *observer* subscribed to the simulation's
+bus (:mod:`repro.sim.bus` topics ``route``, ``forward``,
+``reliable_delivery`` and ``stream``) plus a periodic full audit.  It
+never mutates protocol state, so an audited run is bit-identical to an
+unaudited one.
 
 Invariant classes
 -----------------
@@ -57,11 +58,9 @@ Invariant classes
     gaps: per ``(receiver, peer, stream id)`` the delivered message
     sequence is exactly 0, 1, 2, …  A stream-level duplicate drop is
     also a violation — it means the transport's exactly-once contract
-    underneath broke.  Tap-driven via
-    :attr:`~repro.net.stream.StreamManager.on_stream_event`; stream
-    managers attached to nodes before :meth:`InvariantChecker.attach`
-    are discovered automatically, later ones can be wired with
-    :meth:`InvariantChecker.watch_stream_manager`.
+    underneath broke.  Driven by the bus topic ``stream``, which every
+    :class:`~repro.net.stream.StreamManager` publishes to, whether it
+    was created before or after :meth:`InvariantChecker.attach`.
 
 Violations raise :class:`InvariantViolation` in strict mode (set
 ``REPRO_STRICT_INVARIANTS=1`` or pass ``strict=True``) and are always
@@ -183,11 +182,11 @@ class InvariantChecker:
         #: ROUTING_LOOP, and METRIC_SANITY only fires for non-monotone
         #: chains that never close into a cycle.
         self.monotone_grace_s = 2.0 * self.loop_grace_s
+        #: Every confirmed violation, in order.  Each is also published
+        #: on the bus topic ``violation`` as ``(checker, violation)``
+        #: before a strict-mode raise — how the event store streams the
+        #: violation feed.
         self.violations: List[Violation] = []
-        #: Optional observer called with every confirmed
-        #: :class:`Violation` as it is recorded (before a strict-mode
-        #: raise) — how the event store streams the violation feed.
-        self.on_violation = None
         #: Transient/benign observation counts (convergence debris the
         #: checker tolerates but reports): keys include
         #: ``loop_transient``, ``loop_ghost``, ``non_monotone``,
@@ -205,7 +204,12 @@ class InvariantChecker:
         # next expected message sequence.
         self._stream_next: Dict[Tuple[int, int, int, bool], int] = {}
         self._counters: Dict[Invariant, object] = {}
-        self._saved_taps: Dict[int, tuple] = {}
+        self._subscriptions = (
+            ("route", self._on_route_event),
+            ("forward", self._on_forward_decision),
+            ("reliable_delivery", self._on_reliable_delivery),
+            ("stream", self._on_stream_event),
+        )
         if registry is not None:
             self.bind_registry(registry)
 
@@ -251,80 +255,27 @@ class InvariantChecker:
         )
 
     def attach(self) -> "InvariantChecker":
-        """Install node taps and start the periodic audit timer."""
+        """Subscribe to the bus and start the periodic audit timer."""
         if self._attached:
             return self
         self._attached = True
-        for node in self.net.nodes:
-            self._tap_node(node)
+        for topic, fn in self._subscriptions:
+            self.sim.bus.subscribe(topic, fn)
         self._timer = self.sim.periodic(
             self.audit_period_s, self.audit, label="invariant audit"
         )
         return self
 
     def detach(self) -> None:
-        """Stop auditing and restore the original taps."""
+        """Stop auditing and unsubscribe from the bus."""
         if not self._attached:
             return
         self._attached = False
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        for node in self.net.nodes:
-            saved = self._saved_taps.pop(node.address, None)
-            if saved is not None:
-                node.on_route_event, node.on_forward_decision, node.reliable.on_deliver = saved
-
-    def _tap_node(self, node: MesherNode) -> None:
-        self._saved_taps[node.address] = (
-            node.on_route_event,
-            node.on_forward_decision,
-            node.reliable.on_deliver,
-        )
-        prev_route = node.on_route_event
-        prev_forward = node.on_forward_decision
-        prev_deliver = node.reliable.on_deliver
-
-        def route_event(kind, entry, _node=node, _prev=prev_route):
-            self._on_route_event(_node, kind, entry)
-            if _prev is not None:
-                _prev(kind, entry)
-
-        def forward_decision(packet, decision, previous_hop, _node=node, _prev=prev_forward):
-            self._on_forward_decision(_node, packet, decision, previous_hop)
-            if _prev is not None:
-                _prev(packet, decision, previous_hop)
-
-        def deliver(src, seq_id, kind, _node=node, _prev=prev_deliver):
-            self._on_reliable_delivery(_node, src, seq_id, kind)
-            if _prev is not None:
-                _prev(src, seq_id, kind)
-
-        node.on_route_event = route_event
-        node.on_forward_decision = forward_decision
-        node.reliable.on_deliver = deliver
-
-        manager = getattr(node, "stream_manager", None)
-        if manager is not None:
-            self.watch_stream_manager(manager)
-
-    def watch_stream_manager(self, manager) -> None:
-        """Chain onto a :class:`~repro.net.stream.StreamManager` tap and
-        audit its deliveries against STREAM_ORDERING.
-
-        Needed explicitly only for managers created after
-        :meth:`attach`; pre-existing ones are discovered via the node's
-        ``stream_manager`` attribute.
-        """
-        receiver = manager._node.address
-        prev = manager.on_stream_event
-
-        def stream_event(kind, peer, stream_id, side, msg_seq, _prev=prev):
-            self._on_stream_event(receiver, kind, peer, stream_id, side, msg_seq)
-            if _prev is not None:
-                _prev(kind, peer, stream_id, side, msg_seq)
-
-        manager.on_stream_event = stream_event
+        for topic, fn in self._subscriptions:
+            self.sim.bus.unsubscribe(topic, fn)
 
     # ------------------------------------------------------------------
     # Recording
@@ -338,8 +289,8 @@ class InvariantChecker:
         counter = self._counters.get(invariant)
         if counter is not None:
             counter.inc()
-        if self.on_violation is not None:
-            self.on_violation(violation)
+        for fn in self.sim.bus.violation:
+            fn(self, violation)
         if self.strict:
             raise InvariantViolation(violation)
 
@@ -374,15 +325,18 @@ class InvariantChecker:
         if getattr(decision, "ping_pong", False):
             self._observe("ping_pong")
 
-    def _on_reliable_delivery(self, node: MesherNode, src: int, seq_id: int, kind: str) -> None:
-        key = (node.address, src, seq_id, kind)
+    def _on_reliable_delivery(
+        self, transport: ReliableTransport, src: int, seq_id: int, kind: str
+    ) -> None:
+        receiver = transport.address
+        key = (receiver, src, seq_id, kind)
         now = self.sim.now
         last = self._deliveries.get(key)
         window = ReliableTransport.DEDUP_WINDOW_S
         if last is not None and now - last < window:
             self._violate(
                 Invariant.EXACTLY_ONCE,
-                node.address,
+                receiver,
                 f"duplicate {kind} delivery from 0x{src:04X} seq={seq_id} "
                 f"({now - last:.1f}s after the first, window {window:.0f}s)",
             )
@@ -395,8 +349,9 @@ class InvariantChecker:
             }
 
     def _on_stream_event(
-        self, receiver: int, kind: str, peer: int, stream_id: int, side: bool, msg_seq: int
+        self, manager, kind: str, peer: int, stream_id: int, side: bool, msg_seq: int
     ) -> None:
+        receiver = manager.node.address
         key = (receiver, peer, stream_id, side)
         if kind == "deliver":
             expected = self._stream_next.get(key, 0)

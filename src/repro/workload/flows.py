@@ -230,11 +230,10 @@ class FlowEngine:
     (or the registry instruments) afterwards.
     """
 
-    def __init__(self, net, *, window: Optional[int] = None, checker=None) -> None:
+    def __init__(self, net, *, window: Optional[int] = None) -> None:
         self._net = net
         self._sim = net.sim
         self._window = window
-        self._checker = checker
         self._managers: Dict[int, StreamManager] = {}
         self.flows: Dict[int, FlowState] = {}
         self._started = False
@@ -255,8 +254,6 @@ class FlowEngine:
             mgr = getattr(node, "stream_manager", None)
             if mgr is None:
                 mgr = StreamManager(node, window=self._window)
-                if self._checker is not None:
-                    self._checker.watch_stream_manager(mgr)
             mgr.on_accept = self._accept
             self._managers[address] = mgr
         return mgr
@@ -360,11 +357,6 @@ class FlowEngine:
     @property
     def flows_active(self) -> int:
         return self.flows_started - self.flows_completed - self.flows_failed
-
-    def managers(self) -> Tuple[StreamManager, ...]:
-        """Every :class:`StreamManager` the engine has wired, for taps
-        (store recorders, invariant checkers) attached after start."""
-        return tuple(self._managers.values())
 
     def stream_counter_total(self, name: str) -> int:
         """Sum a :class:`StreamManager` counter across every node the

@@ -93,7 +93,7 @@ class TestStreamBudgets:
         transport = src.reliable
         real_route_via = transport._route_via
         received = []
-        dst.on_app_delivery = lambda msg: received.append(msg.payload)
+        dst.on_message = lambda msg: received.append(msg.payload)
         outcome = {}
         src.send_reliable(dst.address, self.PAYLOAD, lambda ok, why: outcome.update(ok=ok, why=why))
         net.run(for_s=1.5)  # first fragments air
@@ -136,7 +136,7 @@ class TestGapChaseRepair:
         # reorder/drop corrupts the reassembly visibly.
         payload = b"".join(bytes([i]) * 64 for i in range(config.send_queue_capacity + 1))
         received = []
-        dst.on_app_delivery = lambda msg: received.append(msg.payload)
+        dst.on_message = lambda msg: received.append(msg.payload)
         outcome = {}
         src.send_reliable(dst.address, payload, lambda ok, why: outcome.update(ok=ok, why=why))
         net.run(for_s=600.0)
@@ -166,7 +166,7 @@ class TestGapChaseRepair:
         transport.handle_lost = handle_lost
         payload = bytes(i % 251 for i in range(64 * 12))
         received = []
-        dst.on_app_delivery = lambda msg: received.append(msg.payload)
+        dst.on_message = lambda msg: received.append(msg.payload)
         outcome = {}
         src.send_reliable(dst.address, payload, lambda ok, why: outcome.update(ok=ok, why=why))
         net.run(for_s=1200.0)

@@ -8,25 +8,12 @@ store: the implementation factory, the dense-slot storage mechanics,
 and the vectorized convergence probe.
 """
 
-import os
-
 import pytest
 
 from repro.net.config import MesherConfig
 from repro.net.packets import RoutingEntry
 from repro.net.routing_table import ROUTING_IMPLS, RoutingTable, make_routing_table
-from repro.net import routing_store
-
-if not routing_store.HAVE_NUMPY:
-    if os.environ.get("REPRO_REQUIRE_VECTOR_DV"):
-        pytest.fail(
-            "REPRO_REQUIRE_VECTOR_DV is set but numpy is unavailable", pytrace=False
-        )
-    pytest.skip("numpy not installed", allow_module_level=True)
-
-import numpy as np  # noqa: E402
-
-from repro.net.routing_store import ColumnarRoutingTable, as_address_array  # noqa: E402
+from repro.net.routing_store import ColumnarRoutingTable, as_address_array
 
 ME = 0x0001
 

@@ -249,7 +249,7 @@ class TestOrderingAndStats:
         StreamManager(a)
         mb = StreamManager(b)
         delivered = []
-        b.on_app_delivery = lambda msg: delivered.append(msg.payload)
+        b.on_message = lambda msg: delivered.append(msg.payload)
         a.send_reliable(b.address, b"ordinary payload")
         net.run(for_s=60.0)
         assert delivered == [b"ordinary payload"]

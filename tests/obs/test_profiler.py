@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.baselines.aodv import AodvNetwork
 from repro.obs.profiler import KernelProfiler, callback_name, normalize_label
 from repro.sim.kernel import Simulator
+from repro.topology.placement import line_positions
 
 
 class TestNormalisation:
@@ -17,6 +19,17 @@ class TestNormalisation:
         assert {normalize_label(label) for label in labels} == {"N pump"}
         assert normalize_label("hello 0x000f") == normalize_label("hello 0x00af") == "hello N"
         assert normalize_label("stream(0x00af,12) gap") == "stream(N,N) gap"
+
+    def test_aodv_pump_labels_share_one_bin(self):
+        # Addresses 0x0001..0x0012: decimal-only, letter and mixed hex.
+        net = AodvNetwork(line_positions(18), seed=1)
+        profiler = KernelProfiler().attach(net.sim)
+        first, last = net.addresses[0], net.addresses[-1]
+        for node in net.nodes:  # every node originates a discovery
+            node.send(last if node.address == first else first, b"x")
+        net.run(for_s=60.0)
+        pumps = {spot.name for spot in profiler.table() if spot.name.endswith("pump")}
+        assert pumps == {"aodv N pump"}
 
     def test_callback_name_for_functions(self):
         def handler():

@@ -19,6 +19,7 @@ from repro.obs.store import (
     EventStore,
     StoreRecorder,
 )
+from repro.sim.bus import TOPICS
 from repro.trace.capture import load_capture_jsonl
 
 CONFIG = MesherConfig(hello_period_s=60.0, route_timeout_s=300.0, purge_period_s=30.0)
@@ -222,18 +223,17 @@ class TestStoreRecorder:
         store.close()
 
     def test_records_stream_events(self, tmp_path):
-        """A StreamManager present at attach time (or watched later) has
+        """A StreamManager present at attach time or created after it has
         its lifecycle/delivery events recorded as KIND_STREAM rows."""
         from repro.net.stream import StreamManager
 
         net = MeshNetwork.from_positions(LINE4, config=CONFIG, seed=1)
         assert net.run_until_converged(timeout_s=1200.0) is not None
         a, b = net.nodes[0], net.nodes[1]
-        manager_a = StreamManager(a)  # exists before attach: auto-tapped
+        manager_a = StreamManager(a)  # exists before attach
         store = EventStore(tmp_path / "run.db")
         recorder = StoreRecorder(store, net, frames=False).attach()
         manager_b = StreamManager(b)  # created after attach
-        recorder.watch_stream_manager(manager_b)
         received = []
         manager_b.on_accept = lambda s: s.__setattr__(
             "on_message", lambda _s, body: received.append(body)
@@ -309,27 +309,25 @@ class TestStoreRecorder:
 
     def test_detach_restores_taps(self, tmp_path):
         net = MeshNetwork.from_positions(LINE4, config=CONFIG, seed=1)
-        saved = [(n.on_route_event, n.on_forward_decision, n.on_app_delivery) for n in net.nodes]
+        bus = net.sim.bus
         store = EventStore(tmp_path / "run.db")
         recorder = StoreRecorder(store, net).attach()
-        assert net.medium.on_frame is not None
+        for topic in ("route", "forward", "app_delivery", "stream", "violation", "frame"):
+            assert len(getattr(bus, topic)) == 1
+        assert bus.transmission == ()  # light mode keeps the fast path
         recorder.detach()
-        for node, (route, forward, delivery) in zip(net.nodes, saved):
-            assert node.on_route_event is route
-            assert node.on_forward_decision is forward
-            assert node.on_app_delivery is delivery
-        assert net.medium.on_frame is None
-        assert net.medium.on_transmission is None  # light mode never set it
+        assert all(getattr(bus, topic) == () for topic in TOPICS)
         store.close()
 
     def test_full_mode_restores_sniffer(self, tmp_path):
         net = MeshNetwork.from_positions(LINE4, config=CONFIG, seed=1)
+        bus = net.sim.bus
         store = EventStore(tmp_path / "run.db")
         recorder = StoreRecorder(store, net, frames="full").attach()
-        assert net.medium.on_transmission is not None
-        assert net.medium.on_frame is None  # full mode uses the sniffer
+        assert len(bus.transmission) == 1
+        assert bus.frame == ()  # full mode records from transmission
         recorder.detach()
-        assert net.medium.on_transmission is None
+        assert bus.transmission == ()
         store.close()
 
     def test_recording_is_outcome_invisible(self, tmp_path):

@@ -9,23 +9,12 @@ implementations and every observable compared after each step.
 """
 
 import math
-import os
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.packets import RoutingEntry
 from repro.net.routing_table import RoutingTable
-from repro.net import routing_store
-
-if not routing_store.HAVE_NUMPY:
-    if os.environ.get("REPRO_REQUIRE_VECTOR_DV"):
-        pytest.fail(
-            "REPRO_REQUIRE_VECTOR_DV is set but numpy is unavailable", pytrace=False
-        )
-    pytest.skip("numpy not installed", allow_module_level=True)
-
-from repro.net.routing_store import ColumnarRoutingTable  # noqa: E402
+from repro.net.routing_store import ColumnarRoutingTable
 
 SELF = 0x0050
 

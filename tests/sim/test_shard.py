@@ -143,7 +143,7 @@ class TestMediumBoundaryHooks:
     def test_on_transmit_start_fires_for_local_frames(self):
         net = self._net()
         seen = []
-        net.medium.on_transmit_start = lambda tx: seen.append(tx.sender_id)
+        net.sim.bus.subscribe("transmit_start", lambda medium, tx: seen.append(tx.sender_id))
         net.run(for_s=300.0)
         assert seen  # hellos were aired
         assert set(seen) <= {node.radio.node_id for node in net.nodes}
@@ -151,7 +151,7 @@ class TestMediumBoundaryHooks:
     def test_inject_external_occupies_channel_without_hook(self):
         net = self._net()
         seen = []
-        net.medium.on_transmit_start = lambda tx: seen.append(tx.sender_id)
+        net.sim.bus.subscribe("transmit_start", lambda medium, tx: seen.append(tx.sender_id))
         params = net.nodes[0].radio.params
         tx = net.medium.inject_external(
             999_999, (60.0, 0.0), params, b"ghost", 0.05

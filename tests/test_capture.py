@@ -1,6 +1,7 @@
 """Tests for the air-capture sniffer."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -61,10 +62,18 @@ class TestCapture:
         assert len(capture) == 2
         assert capture.total_seen > 2
 
-    def test_single_sniffer_per_medium(self, captured_net):
-        net, _ = captured_net
-        with pytest.raises(RuntimeError):
-            AirCapture(net.medium)
+    def test_two_sniffers_see_the_same_frames(self):
+        net = MeshNetwork.from_positions(line_positions(3), config=FAST, seed=2)
+        first = AirCapture(net.medium)
+        net.run(for_s=300.0)
+        second = AirCapture(net.medium)
+        net.run(for_s=300.0)
+        first.stop()
+        assert second.total_seen > 0
+        assert first.frames[-second.total_seen:] == [
+            replace(frame, index=frame.index + first.total_seen - second.total_seen)
+            for frame in second.frames
+        ]
 
     def test_stop_detaches(self):
         net = MeshNetwork.from_positions(line_positions(2), config=FAST, seed=4)

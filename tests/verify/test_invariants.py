@@ -12,6 +12,7 @@ from repro.net.api import MeshNetwork
 from repro.net.config import MesherConfig
 from repro.net.routing_table import RouteEntry
 from repro.obs.registry import MetricsRegistry
+from repro.sim.bus import TOPICS
 from repro.topology.placement import line_positions
 from repro.verify import (
     Invariant,
@@ -55,25 +56,26 @@ def plant_route(node, *, address, via, metric, now):
 class TestLifecycle:
     def test_attach_is_idempotent_and_detach_restores_taps(self):
         net = converged_line()
-        node = net.nodes[0]
-        before = node.on_route_event
+        bus = net.sim.bus
         checker = InvariantChecker(net, strict=False)
         checker.attach()
         checker.attach()
-        assert node.on_route_event is not before or before is None
+        for topic in ("route", "forward", "reliable_delivery", "stream"):
+            assert len(getattr(bus, topic)) == 1
         checker.detach()
-        assert node.on_route_event is before
-        assert node.reliable.on_deliver is None
+        assert all(getattr(bus, topic) == () for topic in TOPICS)
 
     def test_chains_existing_taps(self):
         net = converged_line()
         node = net.nodes[0]
         seen = []
-        node.on_route_event = lambda kind, entry: seen.append(kind)
+        subscriber = lambda emitter, kind, entry: seen.append((emitter, kind))  # noqa: E731
+        net.sim.bus.subscribe("route", subscriber)
         checker = InvariantChecker(net, strict=False).attach()
         node.table.heard_from(0x00AA, now=net.sim.now)
-        assert "added" in seen
+        assert (node, "added") in seen
         checker.detach()
+        assert net.sim.bus.route == (subscriber,)
 
     def test_audit_period_must_be_positive(self):
         net = converged_line()
@@ -199,9 +201,9 @@ class TestFlips:
         net = converged_line(3)
         a = net.nodes[0]
         checker = self._checker(net)
-        a.reliable.on_deliver(0x0002, 9, "single")
+        a.reliable._publish_delivery(0x0002, 9, "single")
         with pytest.raises(InvariantViolation) as exc:
-            a.reliable.on_deliver(0x0002, 9, "single")
+            a.reliable._publish_delivery(0x0002, 9, "single")
         assert exc.value.violation.invariant is Invariant.EXACTLY_ONCE
 
     def test_flip_conservation(self):

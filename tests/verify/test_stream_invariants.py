@@ -3,8 +3,8 @@
 The invariant asserts every stream endpoint delivers message sequences
 exactly 0, 1, 2, … per (receiver, peer, stream id, side): no gap, no
 regression, no duplicate ever surfacing at the stream layer.  The flip
-tests feed the checker synthetic taps to prove it catches each break
-class; the scenario tests run real stream workloads — including the
+tests publish synthetic stream events on the bus to prove the checker
+catches each break class; the scenario tests run real stream workloads — including the
 churned 3x3 grid — under strict mode.
 """
 
@@ -36,6 +36,16 @@ def converged_line(n=2, seed=5):
     return net
 
 
+def stream_tap(manager):
+    """Publish synthetic ``stream`` bus events as ``manager``."""
+
+    def tap(kind, peer, stream_id, side, msg_seq):
+        for fn in manager.node.sim.bus.stream:
+            fn(manager, kind, peer, stream_id, side, msg_seq)
+
+    return tap
+
+
 class TestFlips:
     """Each break class planted once; strict mode must catch exactly it."""
 
@@ -47,7 +57,7 @@ class TestFlips:
     def test_flip_gap(self):
         net = converged_line()
         manager, checker = self._watched(net)
-        tap = manager.on_stream_event
+        tap = stream_tap(manager)
         tap("accept", 0x0001, 3, True, 0)
         tap("deliver", 0x0001, 3, True, 0)
         with pytest.raises(InvariantViolation) as exc:
@@ -58,7 +68,7 @@ class TestFlips:
     def test_flip_regression(self):
         net = converged_line()
         manager, checker = self._watched(net)
-        tap = manager.on_stream_event
+        tap = stream_tap(manager)
         tap("accept", 0x0001, 3, True, 0)
         tap("deliver", 0x0001, 3, True, 0)
         tap("deliver", 0x0001, 3, True, 1)
@@ -72,14 +82,14 @@ class TestFlips:
         net = converged_line()
         manager, checker = self._watched(net)
         with pytest.raises(InvariantViolation) as exc:
-            manager.on_stream_event("duplicate", 0x0001, 3, True, 4)
+            stream_tap(manager)("duplicate", 0x0001, 3, True, 4)
         assert exc.value.violation.invariant is Invariant.STREAM_ORDERING
 
     def test_ledger_resets_on_reuse(self):
         """close/reset frees the id; a successor stream restarts at 0."""
         net = converged_line()
         manager, checker = self._watched(net)
-        tap = manager.on_stream_event
+        tap = stream_tap(manager)
         tap("accept", 0x0001, 3, True, 0)
         tap("deliver", 0x0001, 3, True, 0)
         tap("close", 0x0001, 3, True, 1)
@@ -90,7 +100,7 @@ class TestFlips:
     def test_sides_are_independent(self):
         net = converged_line()
         manager, checker = self._watched(net)
-        tap = manager.on_stream_event
+        tap = stream_tap(manager)
         tap("accept", 0x0001, 3, True, 0)
         tap("open", 0x0001, 3, False, 0)
         tap("deliver", 0x0001, 3, True, 0)
@@ -102,7 +112,7 @@ class TestFlips:
         net = converged_line()
         manager = StreamManager(net.nodes[1])
         checker = InvariantChecker(net, strict=False).attach()
-        tap = manager.on_stream_event
+        tap = stream_tap(manager)
         tap("accept", 0x0001, 3, True, 0)
         tap("deliver", 0x0001, 3, True, 5)
         assert len(checker.violations) == 1
@@ -114,16 +124,24 @@ class TestDiscovery:
         net = converged_line()
         manager = StreamManager(net.nodes[1])
         InvariantChecker(net, strict=True).attach()
-        assert manager.on_stream_event is not None
+        with pytest.raises(InvariantViolation):
+            stream_tap(manager)("duplicate", 0x0001, 3, True, 4)
 
     def test_watch_chains_previous_tap(self):
+        """Another ``stream`` subscriber keeps its events next to the
+        checker, and a manager created after attach is audited too."""
         net = converged_line()
-        manager = StreamManager(net.nodes[1])
         seen = []
-        manager.on_stream_event = lambda *args: seen.append(args)
-        InvariantChecker(net, strict=True).attach()
-        manager.on_stream_event("accept", 0x0001, 1, True, 0)
+        net.sim.bus.subscribe("stream", lambda *args: seen.append(args[1:]))
+        checker = InvariantChecker(net, strict=True).attach()
+        manager = StreamManager(net.nodes[1])
+        tap = stream_tap(manager)
+        tap("accept", 0x0001, 1, True, 0)
         assert seen == [("accept", 0x0001, 1, True, 0)]
+        with pytest.raises(InvariantViolation):
+            tap("deliver", 0x0001, 1, True, 3)
+        checker.detach()
+        assert len(net.sim.bus.stream) == 1
 
 
 class TestScenarios:
@@ -156,7 +174,7 @@ class TestScenarios:
         plan = FaultPlan([BurstLoss(start=300.0, end=900.0, probability=0.4)])
         FaultInjector(net, plan, seed=33).arm()
         assert net.run_until_converged(timeout_s=1200.0) is not None
-        engine = FlowEngine(net, checker=checker)
+        engine = FlowEngine(net)
         engine.add_flows(
             build_workload(
                 "mixed", net.addresses, 12, seed=3,
@@ -193,7 +211,7 @@ class TestScenarios:
         )
         injector = FaultInjector(net, plan, seed=44).arm()
         assert net.run_until_converged(timeout_s=600.0) is not None
-        engine = FlowEngine(net, checker=checker)
+        engine = FlowEngine(net)
         engine.add_flows(
             build_workload(
                 "mixed", addresses, 18, seed=44,

@@ -89,12 +89,12 @@ class TestBuildWorkload:
                      payload_bytes=16, start_s=0.0, interval_s=0.0)
 
 
-def _run_small_workload(flows=12, seed=3, checker=None):
+def _run_small_workload(flows=12, seed=3):
     net = MeshNetwork.from_positions(
         grid_positions(3, 3, spacing_m=100.0), config=FAST, seed=seed
     )
     assert net.run_until_converged(timeout_s=600.0) is not None
-    engine = FlowEngine(net, checker=checker)
+    engine = FlowEngine(net)
     engine.add_flows(
         build_workload(
             "mixed", net.addresses, flows, seed=seed,
@@ -171,8 +171,8 @@ class TestThousandFlowSoak:
             grid_positions(7, 7, spacing_m=60.0), config=SOAK_CONFIG, seed=9
         )
         assert net.run_until_converged(timeout_s=7200.0) is not None
-        checker = InvariantChecker(net, strict=True)
-        engine = FlowEngine(net, checker=checker)
+        checker = InvariantChecker(net, strict=True).attach()
+        engine = FlowEngine(net)
         engine.add_flows(
             build_workload(
                 "mixed", net.addresses, 1000, seed=9,
